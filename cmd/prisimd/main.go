@@ -10,13 +10,15 @@
 // runs the experiment fabric control plane (/api/v1/fabric/...): matrix
 // submissions expand into content-hashed points, warm points serve from the
 // store, and cold points shard across registered worker daemons. A worker
-// joins a coordinator with -join.
+// joins a coordinator with -join; the coordinator runs no simulations of its
+// own, so a single-node fabric is a coordinator that joins itself.
 //
 // Usage:
 //
 //	prisimd -addr :8064 -queue 32 -workers 0 -job-timeout 10m
 //	prisimd -addr :8070 -coordinator -store /var/lib/prisim/results.log
 //	prisimd -addr :8071 -join http://coordinator:8070
+//	prisimd -addr 127.0.0.1:8070 -coordinator -join 127.0.0.1:8070
 //	curl -s localhost:8064/api/v1/jobs -d '{"kind":"simulate","benchmark":"mcf"}'
 package main
 
@@ -54,7 +56,6 @@ func main() {
 	progRun := flag.Uint64("program-max-run", 0, fmt.Sprintf("max committed instructions per program job; larger requests are rejected (0 = %d)", service.DefaultMaxProgramRun))
 	progMem := flag.Uint64("program-max-memory", 0, fmt.Sprintf("max simulated memory footprint bytes per program job (0 = %d)", service.DefaultMaxProgramMemory))
 	coordinator := flag.Bool("coordinator", false, "run the experiment fabric control plane (/api/v1/fabric/...)")
-	localSlots := flag.Int("local-slots", 0, "matrix points the coordinator executes on its own engine when no worker is free (0 = workers only)")
 	join := flag.String("join", "", "coordinator URL to register this daemon with as a worker")
 	advertise := flag.String("advertise", "", "URL the coordinator should reach this daemon at (default http://127.0.0.1:PORT)")
 	nodeID := flag.String("node-id", "", "node name stamped on computed results (default host-pid)")
@@ -93,7 +94,7 @@ func main() {
 
 	var coord *fabric.Coordinator
 	if *coordinator {
-		fcfg := fabric.Config{Store: store, NodeID: *nodeID, LocalSlots: *localSlots}
+		fcfg := fabric.Config{Store: store}
 		if !*quiet {
 			fcfg.Logger = logger
 		}

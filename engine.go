@@ -33,7 +33,6 @@ var (
 // execution while wall-clock scales with cores. An Engine is safe for use
 // from multiple goroutines and is meant to be created once and reused.
 type Engine struct {
-	budget harness.Budget
 	runner *harness.Runner
 }
 
@@ -93,7 +92,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 	if s.snapshotsOff {
 		r.SetSnapshots(false)
 	}
-	return &Engine{budget: r.Budget, runner: r}
+	return &Engine{runner: r}
 }
 
 // runnerFor returns the Engine's runner viewed at o's per-call budget
@@ -190,8 +189,10 @@ func toResult(hr *harness.Result, cfg ooo.Config) Result {
 
 // Simulate runs one benchmark at one machine point and returns the result.
 // Identical concurrent calls share a single simulation; repeated calls hit
-// the Engine's cache. The run aborts with ctx's error if the context is
-// cancelled. Runs with PipeView or MachineJSON set bypass the cache.
+// the Engine's cache, which is keyed by the whole machine, so a MachineJSON
+// that renders a plain point shares that point's entry. The run aborts with
+// ctx's error if the context is cancelled. Runs with PipeView set bypass the
+// cache so the trace is always produced.
 func (e *Engine) Simulate(ctx context.Context, o Options) (Result, error) {
 	w, cfg, err := resolveOptions(o)
 	if err != nil {
@@ -199,7 +200,7 @@ func (e *Engine) Simulate(ctx context.Context, o Options) (Result, error) {
 	}
 	rr := e.runnerFor(o)
 	var hr *harness.Result
-	if o.PipeView != nil || len(o.MachineJSON) > 0 {
+	if o.PipeView != nil {
 		hr, _, err = harness.RunProgram(ctx, cfg, w.Build(0), w.Class == workloads.FP, rr.Budget, 0, o.PipeView)
 		if hr != nil {
 			hr.Bench = w.Name
@@ -439,31 +440,12 @@ func (e *Engine) WriteReport(ctx context.Context, w io.Writer, o Options) error 
 }
 
 // CacheStats is a snapshot of the Engine's memoization counters.
-type CacheStats struct {
-	Executed  int // simulations actually performed
-	Hits      int // requests answered instantly from a completed cache entry
-	Coalesced int // requests that waited on another caller's in-flight run
+type CacheStats = harness.CacheStats
 
-	// Fast-forward snapshot cache counters (see WithSnapshots).
-	SnapshotBuilds int    // functional fast-forwards executed to fill the snapshot cache
-	SnapshotHits   int    // runs constructed from a cached warm state instead of replaying
-	SnapshotBytes  uint64 // resident bytes of cached warm states
-}
-
-// CacheStats reports how the Engine's singleflight run cache has been used
-// since creation, across every view of the Engine. Services built on a
+// CacheStats reports how the Engine's run and snapshot caches have been
+// used since creation, across every view of the Engine. Services built on a
 // shared Engine export these counters to show request coalescing.
-func (e *Engine) CacheStats() CacheStats {
-	cs := e.runner.CacheStats()
-	return CacheStats{
-		Executed:       cs.Executed,
-		Hits:           cs.Hits,
-		Coalesced:      cs.Coalesced,
-		SnapshotBuilds: cs.SnapshotBuilds,
-		SnapshotHits:   cs.SnapshotHits,
-		SnapshotBytes:  cs.SnapshotBytes,
-	}
-}
+func (e *Engine) CacheStats() CacheStats { return e.runner.CacheStats() }
 
 // ProgressView returns a view of the Engine that reports per-view progress
 // to fn while sharing the parent's cache and worker pool. fn is called
@@ -474,5 +456,5 @@ func (e *Engine) CacheStats() CacheStats {
 // call back into the Engine. This is how a server streams per-request
 // progress while every request shares one Engine.
 func (e *Engine) ProgressView(fn func(done, total int)) *Engine {
-	return &Engine{budget: e.budget, runner: e.runner.ProgressView(fn)}
+	return &Engine{runner: e.runner.ProgressView(fn)}
 }

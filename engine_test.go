@@ -267,3 +267,25 @@ func TestMachineJSONRoundTrip(t *testing.T) {
 		t.Errorf("IntPRs = %d, want 48", res.IntPRs)
 	}
 }
+
+// TestMachineJSONSharesPlainPoint pins that the run cache is keyed by the
+// whole machine: a MachineJSON rendering of the default machine is the
+// same point as the plain request and is answered from its cache entry.
+func TestMachineJSONSharesPlainPoint(t *testing.T) {
+	eng := fastEngine()
+	data, err := MachineJSON(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err1 := eng.Simulate(context.Background(), Options{Benchmark: "gzip"})
+	viaJSON, err2 := eng.Simulate(context.Background(), Options{Benchmark: "gzip", MachineJSON: data})
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if viaJSON != plain {
+		t.Errorf("MachineJSON result = %+v, want the plain point's %+v", viaJSON, plain)
+	}
+	if cs := eng.CacheStats(); cs.Executed != 1 || cs.Hits != 1 {
+		t.Errorf("CacheStats = %+v, want Executed 1 and Hits 1", cs)
+	}
+}

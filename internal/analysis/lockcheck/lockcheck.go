@@ -359,7 +359,11 @@ func (c *checker) checkExpr(x ast.Expr, h held) {
 			if !ok {
 				return true
 			}
-			mu, ok := c.guarded[sel.Obj()]
+			obj := sel.Obj()
+			if v, ok := obj.(*types.Var); ok {
+				obj = v.Origin() // a generic instantiation's field -> the declared one
+			}
+			mu, ok := c.guarded[obj]
 			if !ok {
 				return true
 			}

@@ -83,3 +83,20 @@ func (s *server) spawn() {
 	s.mu.Unlock()
 	<-s.done // unguarded field: never flagged
 }
+
+// table is generic: accesses through an instantiation are checked against
+// the declared field.
+type table[K comparable] struct {
+	mu *sync.Mutex
+	m  map[K]int // guarded by mu
+}
+
+func (t *table[K]) good(k K) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.m[k]
+}
+
+func (t *table[K]) bad(k K) int { return t.m[k] } // want `access to t\.m without holding t\.mu`
+
+func badInstance(t *table[string]) int { return len(t.m) } // want `access to t\.m without holding t\.mu`

@@ -42,19 +42,9 @@ type Config struct {
 	// coordinator replays its matrix records at startup and resumes any
 	// that never finished.
 	Store *Store
-	// NodeID identifies this coordinator in ComputedBy stamps for locally
-	// executed points. Default "coordinator".
-	NodeID string
 	// KernelVersion overrides the build version folded into content hashes
 	// (tests); default prisim.Version.
 	KernelVersion string
-	// LocalSlots bounds points the coordinator executes on its own engine
-	// when no worker is free (or none is registered). 0 disables local
-	// execution: cold points wait for a worker.
-	LocalSlots int
-	// Engine overrides the local-execution engine (tests); normally nil,
-	// building one sized to LocalSlots.
-	Engine *prisim.Engine
 	// WorkerSlots bounds concurrent points dispatched to one worker;
 	// <= 0 selects 4 (half a default worker's queue depth, so dispatch
 	// backpressure stays rare).
@@ -134,28 +124,25 @@ type matrixRun struct {
 type Coordinator struct {
 	cfg    Config
 	store  *Store
-	engine *prisim.Engine // local execution; nil when LocalSlots == 0
 	kernel string
-	nodeID string
 
 	rootCtx  context.Context
 	rootStop context.CancelFunc
 	wg       sync.WaitGroup
 
-	mu            sync.Mutex
-	cond          *sync.Cond // paired with mu; pending/capacity changes
-	workers       map[string]*worker
-	workerOrder   []string
-	nextWorkerID  uint64
-	rr            int               // round-robin start for worker picking
-	affinity      map[string]string // guarded by mu; workload affinity: snapshot key -> last worker id
-	flights       map[string]*flight
-	pending       []*flight
-	matrices      map[string]*matrixRun
-	matrixOrder   []string
-	localInflight int
-	dispatched    uint64 // total worker dispatches since creation
-	closed        bool
+	mu           sync.Mutex
+	cond         *sync.Cond // paired with mu; pending/capacity changes
+	workers      map[string]*worker
+	workerOrder  []string
+	nextWorkerID uint64
+	rr           int               // round-robin start for worker picking
+	affinity     map[string]string // guarded by mu; workload affinity: snapshot key -> last worker id
+	flights      map[string]*flight
+	pending      []*flight
+	matrices     map[string]*matrixRun
+	matrixOrder  []string
+	dispatched   uint64 // total worker dispatches since creation
+	closed       bool
 }
 
 // New builds a Coordinator over cfg.Store, replays the store's matrix
@@ -163,9 +150,6 @@ type Coordinator struct {
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("fabric: Config.Store is required")
-	}
-	if cfg.NodeID == "" {
-		cfg.NodeID = "coordinator"
 	}
 	if cfg.KernelVersion == "" {
 		cfg.KernelVersion = prisim.Version
@@ -185,18 +169,12 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.MaxPoints <= 0 {
 		cfg.MaxPoints = 4096
 	}
-	engine := cfg.Engine
-	if engine == nil && cfg.LocalSlots > 0 {
-		engine = prisim.NewEngine(prisim.WithParallelism(cfg.LocalSlots))
-	}
 	//lint:ignore ctxcheck the coordinator owns this lifecycle root: every dispatch context derives from it and Close cancels it
 	ctx, stop := context.WithCancel(context.Background())
 	c := &Coordinator{
 		cfg:      cfg,
 		store:    cfg.Store,
-		engine:   engine,
 		kernel:   cfg.KernelVersion,
-		nodeID:   cfg.NodeID,
 		rootCtx:  ctx,
 		rootStop: stop,
 		workers:  make(map[string]*worker),

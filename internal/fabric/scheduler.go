@@ -11,11 +11,10 @@ import (
 )
 
 // schedule is the dispatch loop: it sleeps on the condition variable until
-// a cold point is queued AND capacity exists somewhere (a healthy worker
-// with a free slot, or a free local slot), then fans the point out. Workers
-// are preferred over local slots — the coordinator's cycles belong to the
-// control plane — and a retried point prefers a different worker than the
-// one that just failed it.
+// a cold point is queued AND a healthy worker has a free slot, then fans the
+// point out. Every point runs through a worker's job API — a single-node
+// fabric is a coordinator that joins itself — and a retried point prefers a
+// different worker than the one that just failed it.
 func (c *Coordinator) schedule() {
 	defer c.wg.Done()
 	c.mu.Lock()
@@ -37,13 +36,6 @@ func (c *Coordinator) schedule() {
 				c.dispatched++
 				c.wg.Add(1)
 				go c.execOnWorker(w, f)
-				continue
-			}
-			if c.engine != nil && c.localInflight < c.cfg.LocalSlots {
-				f.queued = false
-				c.localInflight++
-				c.wg.Add(1)
-				go c.execLocal(f)
 				continue
 			}
 			rest = append(rest, f)
@@ -76,9 +68,6 @@ func (c *Coordinator) tick() {
 func (c *Coordinator) dispatchableLocked() bool {
 	if len(c.pending) == 0 {
 		return false
-	}
-	if c.engine != nil && c.localInflight < c.cfg.LocalSlots {
-		return true
 	}
 	for _, f := range c.pending {
 		if c.pickableWorkerLocked(f) {
@@ -187,25 +176,6 @@ func (c *Coordinator) execOnWorker(w *worker, f *flight) {
 	c.pointDone(f, res, by)
 }
 
-// execLocal runs one point on the coordinator's own engine.
-func (c *Coordinator) execLocal(f *flight) {
-	defer c.wg.Done()
-	ctx, cancel := context.WithTimeout(c.rootCtx, c.cfg.PointTimeout)
-	defer cancel()
-	res, err := c.engine.Simulate(ctx, f.req.Options())
-
-	c.mu.Lock()
-	c.localInflight--
-	if err != nil {
-		c.pointFailedLocked(f, c.nodeID, err)
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-
-	c.pointDone(f, res, c.nodeID)
-}
-
 // pointDone persists a computed result and resolves its flight. The store
 // append happens outside c.mu (lock order: c.mu is never held across
 // store.mu acquisition from exec goroutines).
@@ -237,9 +207,9 @@ func (c *Coordinator) pointDone(f *flight, res prisim.Result, by string) {
 // pointFailedLocked re-queues a failed point with exponential backoff, or —
 // once attempts are exhausted — fails every matrix waiting on it. Callers
 // hold c.mu.
-func (c *Coordinator) pointFailedLocked(f *flight, nodeID string, err error) {
+func (c *Coordinator) pointFailedLocked(f *flight, workerID string, err error) {
 	f.attempts++
-	f.lastWorker = nodeID
+	f.lastWorker = workerID
 	f.lastErr = err.Error()
 	if c.closed {
 		return
@@ -257,7 +227,7 @@ func (c *Coordinator) pointFailedLocked(f *flight, nodeID string, err error) {
 	if max := 5 * time.Second; backoff > max {
 		backoff = max
 	}
-	c.logf("point=%.12s attempt=%d node=%s error=%v; retrying in %s", f.key, f.attempts, nodeID, err, backoff)
+	c.logf("point=%.12s attempt=%d node=%s error=%v; retrying in %s", f.key, f.attempts, workerID, err, backoff)
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()

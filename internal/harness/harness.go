@@ -84,59 +84,45 @@ type Result struct {
 	EarlyFrees     uint64
 }
 
+// runKey identifies one timing run: the workload, the whole machine, and
+// the budget — everything the run's outcome depends on.
 type runKey struct {
-	bench    string
-	width    int
-	policy   string
-	prs      int
-	inline   bool
-	consv    bool
-	delayed  bool
-	mshrs    int
-	prefetch bool
-	budget   Budget
+	bench  string
+	cfg    ooo.Config
+	budget Budget
 }
 
-// entry is one singleflight cache slot: the first requester simulates, every
-// concurrent requester for the same key blocks on done and shares the result.
-type entry struct {
-	done chan struct{}
-	res  *Result
-	err  error
-}
-
-// shared is the Runner state common to every budget view: the cache, the
-// worker pool, and the progress counters. Budget-scoped views created with
-// WithBudget alias it, so deduplication spans all of them.
+// shared is the Runner state common to every budget view: the run and
+// snapshot caches, the worker pool, and the progress counters. Budget-scoped
+// views created with WithBudget alias it, so deduplication spans all of them.
 type shared struct {
 	sem chan struct{} // bounded worker pool
 
 	mu         sync.Mutex
-	cache      map[runKey]*entry     // guarded by mu
+	runs       flightTable[runKey, *Result]
 	onProgress func(done, total int) // guarded by mu
-	submitted  int                   // guarded by mu
 	completed  int                   // guarded by mu
-	hits       int                   // guarded by mu; requests served by an already-completed cache entry
+	hits       int                   // guarded by mu; requests served by an already-completed run
 	coalesced  int                   // guarded by mu; requests that joined another caller's in-flight run
 
 	// Fast-forward snapshot cache (see snapshot.go).
-	snaps      map[snapKey]*snapEntry // guarded by mu
-	snapsOff   bool                   // guarded by mu
-	snapClock  uint64                 // guarded by mu; LRU clock
-	snapBuilds int                    // guarded by mu; fast-forwards executed to fill the cache
-	snapHits   int                    // guarded by mu; runs constructed from a cached snapshot
-	snapBytes  uint64                 // guarded by mu; resident bytes of cached warm states
+	snaps      flightTable[snapKey, *snapshot]
+	snapsOff   bool   // guarded by mu
+	snapClock  uint64 // guarded by mu; LRU clock
+	snapBuilds int    // guarded by mu; fast-forwards executed to fill the cache
+	snapHits   int    // guarded by mu; runs constructed from a cached snapshot
+	snapBytes  uint64 // guarded by mu; resident bytes of cached warm states
 }
 
-// CacheStats is a snapshot of the Runner's memoization counters, spanning
-// every budget/progress view of one shared cache.
+// CacheStats is a snapshot of the memoization counters, spanning every
+// budget and progress view of one shared cache.
 type CacheStats struct {
 	Executed  int // simulations actually performed
-	Hits      int // requests answered from a completed cache entry
+	Hits      int // requests answered instantly from a completed cache entry
 	Coalesced int // requests that waited on another caller's in-flight run
 
-	// Fast-forward snapshot cache counters (see snapshot.go).
-	SnapshotBuilds int    // fast-forwards executed to fill the snapshot cache
+	// Fast-forward snapshot cache counters.
+	SnapshotBuilds int    // functional fast-forwards executed to fill the snapshot cache
 	SnapshotHits   int    // runs constructed from a cached warm state instead of replaying
 	SnapshotBytes  uint64 // resident bytes of cached warm states
 }
@@ -174,14 +160,44 @@ func NewParallelRunner(b Budget, workers int) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Runner{
-		Budget: b.orDefault(),
-		s: &shared{
-			sem:   make(chan struct{}, workers),
-			cache: make(map[runKey]*entry),
-			snaps: make(map[snapKey]*snapEntry),
-		},
+	s := &shared{sem: make(chan struct{}, workers)}
+	s.runs = flightTable[runKey, *Result]{
+		mu:      &s.mu,
+		flights: make(map[runKey]*flight[*Result]),
+		hit:     s.runHitLocked,
+		join:    s.runJoinLocked,
+		landed:  s.runLandedLocked,
 	}
+	s.snaps = flightTable[snapKey, *snapshot]{
+		mu:      &s.mu,
+		flights: make(map[snapKey]*flight[*snapshot]),
+		hit:     s.snapHitLocked,
+		join:    func() {}, // a joined build counts as a hit once it lands
+		landed:  s.snapLandedLocked,
+	}
+	return &Runner{Budget: b.orDefault(), s: s}
+}
+
+// The run cache's books: Hits counts only instant answers from a completed
+// run, Coalesced counts joins, and Executed counts landed runs, each of which
+// fires OnProgress with the runs completed and submitted — every flight
+// still in the table, since only failed ones are evicted.
+
+func (s *shared) runHitLocked(_ *Result, waited bool) {
+	if !waited {
+		s.hits++
+	}
+}
+
+func (s *shared) runJoinLocked() { s.coalesced++ }
+
+func (s *shared) runLandedLocked(*Result, bool) func() {
+	s.completed++
+	hook, done, total := s.onProgress, s.completed, len(s.runs.flights)
+	if hook == nil {
+		return nil
+	}
+	return func() { hook(done, total) }
 }
 
 // WithBudget returns a view of the Runner that simulates at budget b (zero
@@ -239,8 +255,8 @@ func (r *Runner) viewSubmit(counted *bool) {
 // viewDone marks one of the view's requests resolved and fires the hook.
 // The hook runs under the view lock so reported (done, total) pairs are
 // monotonic.
-func (r *Runner) viewDone(counted bool) {
-	if r.view == nil || !counted {
+func (r *Runner) viewDone() {
+	if r.view == nil {
 		return
 	}
 	r.view.mu.Lock()
@@ -260,21 +276,6 @@ func (r *Runner) OnProgress(fn func(done, total int)) {
 	r.s.mu.Unlock()
 }
 
-func (r *Runner) key(w workloads.Workload, cfg ooo.Config) runKey {
-	return runKey{
-		bench:    w.Name,
-		width:    cfg.Width,
-		policy:   cfg.Rename.Policy.Name(),
-		prs:      cfg.Rename.IntPRs,
-		inline:   cfg.InlineAtRename,
-		consv:    cfg.ConservativeDisambiguation,
-		delayed:  cfg.DelayedAllocation,
-		mshrs:    cfg.Mem.MSHRs,
-		prefetch: cfg.Mem.NextLinePrefetch,
-		budget:   r.Budget,
-	}
-}
-
 // Run simulates one benchmark on one machine configuration, memoized. It is
 // the context-free form of RunCtx and never fails.
 func (r *Runner) Run(w workloads.Workload, cfg ooo.Config) *Result {
@@ -291,74 +292,20 @@ func (r *Runner) Run(w workloads.Workload, cfg ooo.Config) *Result {
 // RunCtx simulates one benchmark on one machine configuration, memoized and
 // deduplicated: concurrent calls for the same point block on one simulation
 // and share its result. The run is bounded by the worker pool and aborts
-// between instruction chunks when ctx is cancelled; a cancelled flight is
-// evicted so later calls retry it.
+// between instruction chunks when ctx is cancelled; a cancelled or panicked
+// flight is evicted so later calls retry it.
 func (r *Runner) RunCtx(ctx context.Context, w workloads.Workload, cfg ooo.Config) (*Result, error) {
-	key := r.key(w, cfg)
 	counted := false // view accounting: at most one submit per call
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r.s.mu.Lock()
-		if e, ok := r.s.cache[key]; ok {
-			// Distinguish a completed entry (an instant cache hit) from a
-			// flight we are about to join.
-			select {
-			case <-e.done:
-				if e.err == nil {
-					r.s.hits++
-					r.s.mu.Unlock()
-					return e.res, nil
-				}
-				// The owning flight was cancelled (and evicted); retry
-				// under our own context.
-				r.s.mu.Unlock()
-				continue
-			default:
-			}
-			r.s.coalesced++
-			r.s.mu.Unlock()
-			r.viewSubmit(&counted)
-			select {
-			case <-e.done:
-				if e.err == nil {
-					r.viewDone(counted)
-					return e.res, nil
-				}
-				continue
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		e := &entry{done: make(chan struct{})}
-		r.s.cache[key] = e
-		r.s.submitted++
-		r.s.mu.Unlock()
-		r.viewSubmit(&counted)
-
-		e.res, e.err = r.simulate(ctx, w, cfg)
-
-		r.s.mu.Lock()
-		var hook func(done, total int)
-		var done, total int
-		if e.err != nil {
-			delete(r.s.cache, key)
-			r.s.submitted--
-		} else {
-			r.s.completed++
-			hook, done, total = r.s.onProgress, r.s.completed, r.s.submitted
-		}
-		r.s.mu.Unlock()
-		close(e.done)
-		if hook != nil {
-			hook(done, total)
-		}
-		if e.err == nil {
-			r.viewDone(counted)
-		}
-		return e.res, e.err
+	res, err := r.s.runs.do(ctx, runKey{w.Name, cfg, r.Budget},
+		func() { r.viewSubmit(&counted) },
+		func() (*Result, error) { return r.simulate(ctx, w, cfg) })
+	if err != nil {
+		return nil, err
 	}
+	if counted {
+		r.viewDone()
+	}
+	return res, nil
 }
 
 // ctxChunk is how many instructions execute between context checks.

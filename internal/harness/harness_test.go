@@ -150,10 +150,10 @@ func TestCancelledFlightEvictionWakesWaiter(t *testing.T) {
 
 	// Wait until the owner has installed its in-flight entry, then attach
 	// a waiter with a context that stays live.
-	key := r.key(w, cfg)
+	key := runKey{w.Name, cfg, r.Budget}
 	for {
 		r.s.mu.Lock()
-		_, inFlight := r.s.cache[key]
+		_, inFlight := r.s.runs.flights[key]
 		r.s.mu.Unlock()
 		if inFlight {
 			break

@@ -19,10 +19,10 @@ import (
 // Snapshots are keyed by (workload identity, fast-forward budget, memory
 // config, predictor config) — everything FastForward's outcome depends on —
 // and never by policy, width, or register-file size, so one snapshot serves
-// a whole policy/width/PR sweep. The cache is singleflight-guarded: one
-// caller builds while concurrent callers for the same key wait, and the
-// build holds a worker-pool slot only while it runs (waiters hold nothing,
-// so waiting cannot deadlock the pool).
+// a whole policy/width/PR sweep. The cache is a flightTable like the run
+// cache: one caller builds while concurrent callers for the same key wait,
+// and the build holds a worker-pool slot only while it runs (waiters hold
+// nothing, so waiting cannot deadlock the pool).
 
 // maxSnapshots bounds resident warm states; least-recently-used completed
 // entries are evicted beyond it. An evicted snapshot still referenced by
@@ -38,13 +38,32 @@ type snapKey struct {
 	bp    bpred.Config
 }
 
-// snapEntry is one singleflight slot of the snapshot cache: the first
-// requester builds, everyone else blocks on done and shares the state.
-type snapEntry struct {
-	done    chan struct{}
+// snapshot is one cached warm state with its LRU stamp.
+type snapshot struct {
 	w       *ooo.WarmState
-	err     error
-	lastUse uint64 // LRU stamp, valid once done; the runner's shared mu serializes access
+	lastUse uint64 // the runner's shared mu serializes access
+}
+
+// snapHitLocked counts a run served by a cached snapshot and marks the
+// snapshot recently used.
+func (s *shared) snapHitLocked(sn *snapshot, _ bool) {
+	s.snapHits++
+	s.snapClock++
+	sn.lastUse = s.snapClock
+}
+
+// snapLandedLocked counts a finished build and, unless SetSnapshots(false)
+// dropped its entry mid-build, accounts it as resident and evicts down to
+// maxSnapshots.
+func (s *shared) snapLandedLocked(sn *snapshot, resident bool) func() {
+	s.snapBuilds++
+	if resident {
+		s.snapClock++
+		sn.lastUse = s.snapClock
+		s.snapBytes += sn.w.Bytes()
+		s.evictSnapshotsLocked()
+	}
+	return nil
 }
 
 // snapshotKey derives the cache key for one run: the workload plus every
@@ -60,10 +79,18 @@ func (r *Runner) SetSnapshots(enabled bool) {
 	r.s.mu.Lock()
 	r.s.snapsOff = !enabled
 	if !enabled {
-		r.s.snaps = make(map[snapKey]*snapEntry)
-		r.s.snapBytes = 0
+		r.s.dropSnapshotsLocked()
 	}
 	r.s.mu.Unlock()
+}
+
+// dropSnapshotsLocked empties the snapshot cache. Builds in flight finish
+// for their own callers but find their entry gone and stay unaccounted.
+// It is a Locked helper because lockcheck cannot see that the table's mu is
+// the shared lock the caller holds.
+func (s *shared) dropSnapshotsLocked() {
+	s.snaps.flights = make(map[snapKey]*flight[*snapshot])
+	s.snapBytes = 0
 }
 
 // warmFor returns the warm fast-forward state for (w, cfg), building it on
@@ -74,80 +101,25 @@ func (r *Runner) warmFor(ctx context.Context, w workloads.Workload, cfg ooo.Conf
 	if r.Budget.FastForward == 0 {
 		return nil, nil
 	}
-	key := r.snapshotKey(w, cfg)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r.s.mu.Lock()
-		if r.s.snapsOff {
-			r.s.mu.Unlock()
-			return nil, nil
-		}
-		if e, ok := r.s.snaps[key]; ok {
-			select {
-			case <-e.done:
-				if e.err == nil {
-					r.s.snapHits++
-					r.s.snapClock++
-					e.lastUse = r.s.snapClock
-					r.s.mu.Unlock()
-					return e.w, nil
-				}
-				// The building flight failed (cancelled) and evicted itself;
-				// retry under our own context.
-				r.s.mu.Unlock()
-				continue
-			default:
-			}
-			r.s.mu.Unlock()
-			select {
-			case <-e.done:
-				if e.err != nil {
-					continue
-				}
-				r.s.mu.Lock()
-				r.s.snapHits++
-				r.s.snapClock++
-				e.lastUse = r.s.snapClock
-				r.s.mu.Unlock()
-				return e.w, nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		e := &snapEntry{done: make(chan struct{})}
-		r.s.snaps[key] = e
-		r.s.mu.Unlock()
-
-		e.w, e.err = r.buildSnapshot(ctx, w, cfg)
-
-		r.s.mu.Lock()
-		if e.err != nil {
-			if r.s.snaps[key] == e {
-				delete(r.s.snaps, key)
-			}
-		} else {
-			r.s.snapBuilds++
-			// SetSnapshots(false) may have dropped the map entry mid-build;
-			// only account entries still resident.
-			if r.s.snaps[key] == e {
-				r.s.snapClock++
-				e.lastUse = r.s.snapClock
-				r.s.snapBytes += e.w.Bytes()
-				r.evictSnapshotsLocked()
-			}
-		}
-		r.s.mu.Unlock()
-		close(e.done)
-		return e.w, e.err
+	r.s.mu.Lock()
+	off := r.s.snapsOff
+	r.s.mu.Unlock()
+	if off {
+		return nil, nil
 	}
+	sn, err := r.s.snaps.do(ctx, r.snapshotKey(w, cfg), nil, func() (*snapshot, error) {
+		return r.buildSnapshot(ctx, w, cfg)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sn.w, nil
 }
 
 // buildSnapshot fast-forwards one workload inside a worker-pool slot and
 // captures the warm state. The slot is held only for the build; waiters in
 // warmFor hold no slot.
-func (r *Runner) buildSnapshot(ctx context.Context, w workloads.Workload, cfg ooo.Config) (*ooo.WarmState, error) {
+func (r *Runner) buildSnapshot(ctx context.Context, w workloads.Workload, cfg ooo.Config) (*snapshot, error) {
 	select {
 	case r.s.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -159,35 +131,32 @@ func (r *Runner) buildSnapshot(ctx context.Context, w workloads.Workload, cfg oo
 	if err := runChunked(ctx, p.FastForward, r.Budget.FastForward); err != nil {
 		return nil, err
 	}
-	return p.CaptureWarm(), nil
+	return &snapshot{w: p.CaptureWarm()}, nil
 }
 
 // evictSnapshotsLocked drops least-recently-used completed snapshots until
 // the cache is within maxSnapshots. In-flight builds are never evicted.
 //
 //prisim:locked
-func (r *Runner) evictSnapshotsLocked() {
-	for len(r.s.snaps) > maxSnapshots {
+func (s *shared) evictSnapshotsLocked() {
+	for len(s.snaps.flights) > maxSnapshots {
 		var victimKey snapKey
-		var victim *snapEntry
+		var victim *snapshot
 		//lint:ignore determinism LRU selection by minimal lastUse stamp is order-independent: stamps are unique, so the minimum is unique
-		for k, e := range r.s.snaps {
+		for k, f := range s.snaps.flights {
 			select {
-			case <-e.done:
+			case <-f.done: // failed builds leave the table before done closes
 			default:
 				continue // still building
 			}
-			if e.err != nil {
-				continue
-			}
-			if victim == nil || e.lastUse < victim.lastUse {
-				victimKey, victim = k, e
+			if victim == nil || f.val.lastUse < victim.lastUse {
+				victimKey, victim = k, f.val
 			}
 		}
 		if victim == nil {
 			return // everything is in flight; nothing evictable
 		}
-		r.s.snapBytes -= victim.w.Bytes()
-		delete(r.s.snaps, victimKey)
+		s.snapBytes -= victim.w.Bytes()
+		delete(s.snaps.flights, victimKey)
 	}
 }

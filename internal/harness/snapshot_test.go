@@ -143,7 +143,7 @@ func TestSnapshotEvictionBound(t *testing.T) {
 		r.WithBudget(Budget{FastForward: uint64(1000 + i), Run: 1000}).Run(w, machine(4))
 	}
 	r.s.mu.Lock()
-	n, bytes := len(r.s.snaps), r.s.snapBytes
+	n, bytes := len(r.s.snaps.flights), r.s.snapBytes
 	r.s.mu.Unlock()
 	if n > maxSnapshots {
 		t.Errorf("resident snapshots = %d, want <= %d", n, maxSnapshots)

@@ -25,7 +25,7 @@ func TestFabricEndpointsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := fabric.New(fabric.Config{Store: st, NodeID: "coord"})
+	coord, err := fabric.New(fabric.Config{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}

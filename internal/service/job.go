@@ -17,7 +17,8 @@ type job struct {
 	req      prisimclient.JobRequest
 	cacheKey string // content hash of a simulate point or program run; "" for experiments; set before enqueue, immutable after
 
-	// Program jobs only; assembled and analyzed at submit, immutable after.
+	// Program jobs only; assembled and analyzed at submit, immutable after,
+	// except that the worker takes prog so a settled job holds no image.
 	prog      *asm.Program
 	imageHash string
 	warnings  []prisimclient.Diagnostic // priscan warning findings

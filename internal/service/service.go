@@ -457,6 +457,9 @@ func (s *Server) worker() {
 // runJob executes one job with panic isolation: a panicking simulation
 // fails the job, not the process.
 func (s *Server) runJob(j *job) {
+	// Take the image now so no settled job, whatever its outcome, holds one.
+	prog := j.prog
+	j.prog = nil
 	if j.ctx.Err() != nil || !j.start(time.Now()) {
 		// Cancelled while queued (requestCancel already resolved it), or
 		// the server is shutting down hard.
@@ -507,7 +510,7 @@ func (s *Server) runJob(j *job) {
 		}
 		opts.MemLimit = s.cfg.Programs.MaxMemoryBytes
 		err = s.resolve(j, func() (prisim.ProgramResult, error) {
-			pres, err := s.engine.SimulateProgram(ctx, prisim.NewProgram(j.prog), opts)
+			pres, err := s.engine.SimulateProgram(ctx, prisim.NewProgram(prog), opts)
 			if err == nil {
 				j.setProgress(1, 1)
 			}

@@ -104,8 +104,9 @@ type Options struct {
 
 	// MachineJSON, when non-empty, overrides the Width-selected machine
 	// with a JSON configuration (the format MachineJSON produces); Policy,
-	// PhysRegs, and the extension flags still apply on top. Runs with a
-	// custom machine bypass the Engine's memoization cache.
+	// PhysRegs, and the extension flags still apply on top. The Engine's
+	// cache is keyed by the resulting machine, so a custom machine is
+	// memoized like any other point.
 	MachineJSON []byte
 	// PipeView, when non-nil, receives a gem5 O3PipeView-format pipeline
 	// trace of the run. Traced runs bypass the memoization cache so the

@@ -141,27 +141,13 @@ const CacheKeySchema = "prisim-point-v1"
 // budget to their own configured default before hashing, which is why the
 // fabric always dispatches points with an explicit budget.
 func CacheKeyFor(kernelVersion string, r JobRequest) string {
-	width := r.Width
-	if width == 0 {
-		width = 4
+	if r.FastForward == 0 {
+		r.FastForward = prisim.DefaultFastForward
 	}
-	policy := r.Policy
-	if policy == "" {
-		policy = string(prisim.PolicyBase)
+	if r.Run == 0 {
+		r.Run = prisim.DefaultRun
 	}
-	ff := r.FastForward
-	if ff == 0 {
-		ff = prisim.DefaultFastForward
-	}
-	run := r.Run
-	if run == 0 {
-		run = prisim.DefaultRun
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\nkernel=%s\nbench=%s\nwidth=%d\npolicy=%s\nphys_regs=%d\nrename_inline=%t\ndelayed_alloc=%t\nfast_forward=%d\nrun=%d\n",
-		CacheKeySchema, kernelVersion, r.Benchmark, width, policy, r.PhysRegs,
-		r.RenameInline, r.DelayedAllocation, ff, run)
-	return hex.EncodeToString(h.Sum(nil))
+	return contentKey(CacheKeySchema, kernelVersion, "bench="+r.Benchmark, r)
 }
 
 // ProgramCacheKeySchema names the content-hash schema CacheKeyForProgram
@@ -180,17 +166,22 @@ const ProgramCacheKeySchema = "prisim-prog-v1"
 // budget, with defaults already resolved, because unlike simulate points a
 // program's Run 0 means "to completion" and the server caps it.
 func CacheKeyForProgram(kernelVersion, imageSHA256 string, r JobRequest) string {
-	width := r.Width
-	if width == 0 {
-		width = 4
+	return contentKey(ProgramCacheKeySchema, kernelVersion, "image="+imageSHA256, r)
+}
+
+// contentKey is the one formatter behind both key schemas: it normalizes
+// the defaulted machine fields (width 0 -> 4, empty policy -> "base") and
+// hashes the schema, kernel, subject line, machine, and budget as given.
+func contentKey(schema, kernelVersion, subject string, r JobRequest) string {
+	if r.Width == 0 {
+		r.Width = 4
 	}
-	policy := r.Policy
-	if policy == "" {
-		policy = string(prisim.PolicyBase)
+	if r.Policy == "" {
+		r.Policy = string(prisim.PolicyBase)
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\nkernel=%s\nimage=%s\nwidth=%d\npolicy=%s\nphys_regs=%d\nrename_inline=%t\ndelayed_alloc=%t\nfast_forward=%d\nrun=%d\n",
-		ProgramCacheKeySchema, kernelVersion, imageSHA256, width, policy, r.PhysRegs,
+	fmt.Fprintf(h, "%s\nkernel=%s\n%s\nwidth=%d\npolicy=%s\nphys_regs=%d\nrename_inline=%t\ndelayed_alloc=%t\nfast_forward=%d\nrun=%d\n",
+		schema, kernelVersion, subject, r.Width, r.Policy, r.PhysRegs,
 		r.RenameInline, r.DelayedAllocation, r.FastForward, r.Run)
 	return hex.EncodeToString(h.Sum(nil))
 }
