@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"prisim/internal/bpred"
 	"prisim/internal/core"
+	"prisim/internal/memsys"
 	"prisim/internal/ooo"
 	"prisim/internal/workloads"
 )
@@ -34,6 +36,12 @@ const (
 	// goldenPrefetchHash covers AblationPrefetch, the one driver the report
 	// leaves out.
 	goldenPrefetchHash = "f951960d9ab312bb35d1baff56e1a193d45a13fd26f160fdf33a444adac40cfc"
+
+	// goldenWarmStateHash covers long fast-forwards: every workload
+	// fast-forwarded 200k–400k instructions, its warm machine, cache and
+	// predictor counters, and 4k timed instructions under base and
+	// pri-rc-ckpt from the captured state.
+	goldenWarmStateHash = "31fd75d2cb5ec6e5c73a8e7f6e4b260a8e693c9a66545936914f7387ff0b4da4"
 )
 
 var goldenBudget = Budget{FastForward: 2000, Run: 8000}
@@ -113,4 +121,43 @@ func TestGoldenFullStats(t *testing.T) {
 		t.Errorf("full-stats fingerprint diverged from golden kernel output:\ngot  %s\nwant %s\n%s",
 			got, goldenGzipBasePRI, fp)
 	}
+}
+
+// TestGoldenWarmState pins fast-forwards at sampled-simulation lengths, which
+// the goldens above (at goldenBudget's 2k) never reach: each workload i is
+// fast-forwarded 200,000 + (i·7,919 mod 200,000) instructions, and the hash
+// covers the machine's position, every cache level's and the predictor's
+// counters after the fast-forward, then the full statistics of 4k timed
+// instructions under base and pri-rc-ckpt built from the captured state.
+func TestGoldenWarmState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long")
+	}
+	var sb strings.Builder
+	for i, w := range workloads.All() {
+		ff := uint64(200_000 + i*7_919%200_000)
+		p := ooo.New(ooo.Width4(), w.Build(0))
+		p.FastForward(ff)
+		m, h, bp := p.Machine(), p.Mem(), p.Bpred()
+		fmt.Fprintf(&sb, "%s ff=%d pc=%#x seq=%d\n", w.Name, ff, m.PC, m.Seq())
+		for _, c := range []*memsys.Cache{h.IL1, h.DL1, h.L2} {
+			fmt.Fprintf(&sb, "%s acc=%d miss=%d\n", c.Config().Name, c.Accesses, c.Misses)
+		}
+		sb.WriteString(predictorCounters(bp))
+		warm := p.CaptureWarm()
+		for _, pol := range []core.Policy{core.PolicyBase, core.PolicyPRIRcCkpt} {
+			tp := ooo.NewFromWarm(ooo.Width4().WithPolicy(pol), warm)
+			tp.Run(4_000)
+			sb.WriteString(pol.Name() + "\n" + statsFingerprint(tp))
+		}
+	}
+	if got := sha(sb.String()); got != goldenWarmStateHash {
+		t.Errorf("warm-state fingerprint diverged from golden output:\ngot  %s\nwant %s\n%s",
+			got, goldenWarmStateHash, sb.String())
+	}
+}
+
+func predictorCounters(bp *bpred.Predictor) string {
+	return fmt.Sprintf("bpred lookups=%d dirmiss=%d tgtmiss=%d raspops=%d rasmiss=%d btbhits=%d btbmisses=%d\n",
+		bp.Lookups, bp.DirMiss, bp.TargetMiss, bp.RASPops, bp.RASMiss, bp.BTBHits, bp.BTBMisses)
 }

@@ -45,20 +45,8 @@ func TestHierarchyCloneCompleteness(t *testing.T) {
 
 // stream drives a deterministic mixed access pattern through h.
 func stream(h *Hierarchy, seed uint64, n int) {
-	x := seed
-	for i := 0; i < n; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-		addr := (x % (1 << 20)) &^ 7
-		switch x >> 61 {
-		case 0:
-			h.InstFetch(addr)
-		case 1:
-			h.Data(addr, true)
-		case 2:
-			h.DataAt(addr, false, uint64(i))
-		default:
-			h.Data(addr, false)
-		}
+	for i, a := range mixedStream(seed, n) {
+		a.drive(h, uint64(i))
 	}
 }
 

@@ -76,3 +76,33 @@ func BenchmarkKernelSquashHeavy(b *testing.B) {
 func BenchmarkKernelMemBound(b *testing.B) {
 	benchWorkload(b, "mcf", Width8())
 }
+
+// BenchmarkFastForward measures the functional fast-forward — emulator,
+// branch predictor and cache hierarchy, one pass per instruction — that
+// precedes every measurement. Each iteration fast-forwards a fresh pipeline
+// of each workload by 200k instructions; construction is off the clock.
+func BenchmarkFastForward(b *testing.B) {
+	const ff = 200_000
+	var pipes []func() *Pipeline
+	for _, name := range []string{"gzip", "mcf", "swim", "equake"} {
+		w, ok := workloads.ByName(name)
+		if !ok {
+			b.Fatalf("unknown workload %q", name)
+		}
+		prog := w.Build(0)
+		pipes = append(pipes, func() *Pipeline { return New(Width4(), prog) })
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	total := uint64(0)
+	for i := 0; i < b.N; i++ {
+		for _, mk := range pipes {
+			b.StopTimer()
+			p := mk()
+			b.StartTimer()
+			total += p.FastForward(ff)
+		}
+	}
+	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "instr/s")
+	b.ReportMetric(float64(total)/float64(b.N), "instr/op")
+}
