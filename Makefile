@@ -9,7 +9,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build test race bench benchgate sweepgate fuzz lint prilint lintprog staticcheck govulncheck
+.PHONY: build test race bench benchgate sweepgate ffgate fuzz lint prilint lintprog staticcheck govulncheck
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,18 @@ sweepgate:
 		-benchtime 1x -count 3 | $(GO) run ./cmd/benchgate \
 		-baseline BENCH_harness.json -bench BenchmarkSweepFig8Mix \
 		-metric points/s -floorkey sweep_points_per_sec_floor -frac 0.7
+
+# ffgate is the fast-forward throughput gate: BenchmarkFastForward (the
+# emulator, branch predictor and cache hierarchy, one pass each per
+# instruction) must sustain at least 70% of the instr/s floor recorded in
+# BENCH_kernel.json (best of 3 runs). It catches the fast-forward loop
+# falling back to a second decode, a by-value step report or a full set scan
+# per cache access.
+ffgate:
+	$(GO) test ./internal/ooo -run '^$$' -bench BenchmarkFastForward \
+		-benchtime 1s -count 3 | $(GO) run ./cmd/benchgate \
+		-bench BenchmarkFastForward -metric instr/s \
+		-floorkey fast_forward_instr_per_sec_floor -frac 0.7
 
 # lint runs the project's own analyzer suite (always available: it is part
 # of this module) plus vet, then the pinned external linters when present.

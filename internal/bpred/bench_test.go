@@ -33,8 +33,11 @@ func BenchmarkPredict(b *testing.B) {
 	p := New(Default())
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := &stream[i%len(stream)]
+	for i, j := 0, 0; i < b.N; i++ {
+		s := &stream[j]
+		if j++; j == len(stream) {
+			j = 0
+		}
 		pred := p.Predict(s.pc, s.in)
 		predNPC := s.pc + 4
 		if pred.Taken {

@@ -9,7 +9,11 @@
 //prisim:deterministic
 package bpred
 
-import "prisim/internal/isa"
+import (
+	"math/bits"
+
+	"prisim/internal/isa"
+)
 
 // Config sizes the predictor structures. The zero value is not useful; use
 // Default for the paper's configuration.
@@ -149,7 +153,7 @@ func (p *Predictor) Predict(pc uint64, in isa.Inst) Prediction {
 	p.Lookups++
 	pred := Prediction{history: p.history, rasTop: p.rasTop}
 	if p.cfg.RASEntries > 0 {
-		pred.rasTOS = p.ras[(p.rasTop-1+p.cfg.RASEntries)%p.cfg.RASEntries]
+		pred.rasTOS = p.ras[p.below(p.rasTop)]
 	}
 
 	switch {
@@ -240,7 +244,7 @@ func (p *Predictor) Recover(pc uint64, in isa.Inst, pred Prediction, taken bool)
 	// clobbered, then replay this instruction's own pop/push.
 	p.rasTop = pred.rasTop
 	if p.cfg.RASEntries > 0 {
-		p.ras[(p.rasTop-1+p.cfg.RASEntries)%p.cfg.RASEntries] = pred.rasTOS
+		p.ras[p.below(p.rasTop)] = pred.rasTOS
 	}
 	if in.IsReturn() {
 		p.pop()
@@ -255,21 +259,35 @@ func (p *Predictor) push(addr uint64) {
 		return
 	}
 	p.ras[p.rasTop] = addr
-	p.rasTop = (p.rasTop + 1) % p.cfg.RASEntries
+	if p.rasTop++; p.rasTop == len(p.ras) {
+		p.rasTop = 0
+	}
 }
 
 func (p *Predictor) pop() uint64 {
 	if p.cfg.RASEntries == 0 {
 		return 0
 	}
-	p.rasTop = (p.rasTop - 1 + p.cfg.RASEntries) % p.cfg.RASEntries
+	p.rasTop = p.below(p.rasTop)
 	return p.ras[p.rasTop]
 }
 
-func (p *Predictor) btbLookup(pc uint64) uint64 {
+// below returns the RAS slot under slot i, wrapping around the stack.
+func (p *Predictor) below(i int) int {
+	if i == 0 {
+		return len(p.ras) - 1
+	}
+	return i - 1
+}
+
+// btbSet returns the first entry of pc's BTB set and pc's tag in it.
+func (p *Predictor) btbSet(pc uint64) (base int, tag uint64) {
 	set := int((pc >> 2) & uint64(p.cfg.BTBSets-1))
-	tag := pc >> 2 / uint64(p.cfg.BTBSets)
-	base := set * p.cfg.BTBWays
+	return set * p.cfg.BTBWays, pc >> 2 >> bits.TrailingZeros(uint(p.cfg.BTBSets))
+}
+
+func (p *Predictor) btbLookup(pc uint64) uint64 {
+	base, tag := p.btbSet(pc)
 	for w := 0; w < p.cfg.BTBWays; w++ {
 		e := &p.btb[base+w]
 		if e.valid && e.tag == tag {
@@ -284,9 +302,7 @@ func (p *Predictor) btbLookup(pc uint64) uint64 {
 }
 
 func (p *Predictor) btbInsert(pc, target uint64) {
-	set := int((pc >> 2) & uint64(p.cfg.BTBSets-1))
-	tag := pc >> 2 / uint64(p.cfg.BTBSets)
-	base := set * p.cfg.BTBWays
+	base, tag := p.btbSet(pc)
 	victim := base
 	for w := 0; w < p.cfg.BTBWays; w++ {
 		e := &p.btb[base+w]

@@ -15,14 +15,20 @@ func (m *Machine) Step() StepInfo {
 }
 
 // StepInto executes one instruction, writing what happened into *info (the
-// timing model passes the dynamic instruction's own slot, avoiding a
-// round-trip copy of the report on every fetch). The static instruction is
-// taken from the decoded-uop cache, not re-decoded.
+// timing model passes the dynamic instruction's own slot, and fast-forward
+// one reused report, avoiding a copy of the report on every instruction).
+// Every field of *info is overwritten. The static instruction is taken from
+// the decoded-uop cache, not re-decoded.
+//
+// *info is cleared and then filled field by field: assigning a composite
+// literal through the pointer would build it in a temporary and block-copy
+// all of it.
 //
 //prisim:hotpath
 func (m *Machine) StepInto(info *StepInfo) {
+	*info = StepInfo{}
 	if m.halted {
-		*info = StepInfo{Seq: m.seq, PC: m.PC, NextPC: m.PC, Halted: true}
+		info.Seq, info.PC, info.NextPC, info.Halted = m.seq, m.PC, m.PC, true
 		return
 	}
 	pc := m.PC
@@ -37,7 +43,7 @@ func (m *Machine) StepInto(info *StepInfo) {
 		})
 	}
 	m.seq++
-	*info = StepInfo{Seq: m.seq, PC: pc, Inst: in, Uop: u}
+	info.Seq, info.PC, info.Inst, info.Uop = m.seq, pc, in, u
 	next := pc + 4
 
 	ra, rb := m.regs[in.Ra], m.regs[in.Rb]

@@ -342,9 +342,10 @@ func (m *Machine) PeekUop() *isa.Uop { return m.UopAt(m.PC) }
 // Run executes until HALT or until limit instructions have run (0 = no
 // limit). It returns the number of instructions executed.
 func (m *Machine) Run(limit uint64) uint64 {
+	var info StepInfo
 	n := uint64(0)
 	for !m.halted && (limit == 0 || n < limit) {
-		m.Step()
+		m.StepInto(&info)
 		n++
 	}
 	return n

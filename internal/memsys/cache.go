@@ -15,7 +15,10 @@
 //prisim:deterministic
 package memsys
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CacheConfig sizes one cache level.
 type CacheConfig struct {
@@ -67,8 +70,15 @@ type Cache struct {
 	cfg      CacheConfig
 	sets     int
 	lineBits uint
+	setShift uint   // log2(sets): a block's tag is its number shifted right by this
 	lines    []line // sets × ways
 	clock    uint64
+
+	// last indexes the line the latest probe hit or filled and lastBlk is
+	// its block number, so a repeat of that block skips the set scan. The
+	// memo cannot go stale: only a miss evicts, and every miss re-points it.
+	last    int
+	lastBlk uint64
 
 	Accesses   uint64
 	Misses     uint64
@@ -85,11 +95,13 @@ func NewCache(cfg CacheConfig) *Cache {
 	if cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic(fmt.Sprintf("memsys: %s: line size %d not a power of two", cfg.Name, cfg.LineBytes))
 	}
-	lineBits := uint(0)
-	for 1<<lineBits < cfg.LineBytes {
-		lineBits++
+	return &Cache{
+		cfg:      cfg,
+		sets:     sets,
+		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setShift: uint(bits.TrailingZeros(uint(sets))),
+		lines:    make([]line, sets*cfg.Ways),
 	}
-	return &Cache{cfg: cfg, sets: sets, lineBits: lineBits, lines: make([]line, sets*cfg.Ways)}
 }
 
 // Config returns the cache geometry.
@@ -99,11 +111,18 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 // reports whether a dirty line was written back. Returns hit.
 func (c *Cache) probe(addr uint64, write bool) (hit, writeback bool) {
 	c.Accesses++
-	blk := addr >> c.lineBits
-	set := int(blk & uint64(c.sets-1))
-	tag := blk >> uint(setBits(c.sets))
-	base := set * c.cfg.Ways
 	c.clock++
+	blk := addr >> c.lineBits
+	// The valid check only matters before the first probe sets the memo.
+	if ln := &c.lines[c.last]; blk == c.lastBlk && ln.valid {
+		ln.lru = c.clock
+		if write {
+			ln.dirty = true
+		}
+		return true, false
+	}
+	base := int(blk&uint64(c.sets-1)) * c.cfg.Ways
+	tag := blk >> c.setShift
 	victim := base
 	for w := 0; w < c.cfg.Ways; w++ {
 		ln := &c.lines[base+w]
@@ -112,6 +131,7 @@ func (c *Cache) probe(addr uint64, write bool) (hit, writeback bool) {
 			if write {
 				ln.dirty = true
 			}
+			c.last, c.lastBlk = base+w, blk
 			return true, false
 		}
 		if !ln.valid {
@@ -127,6 +147,7 @@ func (c *Cache) probe(addr uint64, write bool) (hit, writeback bool) {
 		c.Writebacks++
 	}
 	*v = line{valid: true, tag: tag, lru: c.clock, dirty: write}
+	c.last, c.lastBlk = victim, blk
 	return false, writeback
 }
 
@@ -148,10 +169,10 @@ func (c *Cache) FootprintBytes() uint64 { return uint64(len(c.lines)) * 32 }
 // statistics (for tests).
 func (c *Cache) Contains(addr uint64) bool {
 	blk := addr >> c.lineBits
-	set := int(blk & uint64(c.sets-1))
-	tag := blk >> uint(setBits(c.sets))
+	base := int(blk&uint64(c.sets-1)) * c.cfg.Ways
+	tag := blk >> c.setShift
 	for w := 0; w < c.cfg.Ways; w++ {
-		ln := c.lines[set*c.cfg.Ways+w]
+		ln := c.lines[base+w]
 		if ln.valid && ln.tag == tag {
 			return true
 		}
@@ -165,14 +186,6 @@ func (c *Cache) MissRate() float64 {
 		return 0
 	}
 	return float64(c.Misses) / float64(c.Accesses)
-}
-
-func setBits(sets int) int {
-	b := 0
-	for 1<<b < sets {
-		b++
-	}
-	return b
 }
 
 // Hierarchy composes the three levels and main memory.

@@ -26,7 +26,8 @@ func checkFields(t *testing.T, what string, v any, handled []string) {
 // TestCacheCloneCompleteness pins the field set Cache.Clone handles.
 func TestCacheCloneCompleteness(t *testing.T) {
 	checkFields(t, "memsys.Cache", Cache{}, []string{
-		"cfg", "sets", "lineBits", "clock", // by-value via *c
+		"cfg", "sets", "lineBits", "setShift", "clock", // by-value via *c
+		"last", "lastBlk", // last-line memo, by value via *c: an index into lines
 		"lines",                            // deep-copied
 		"Accesses", "Misses", "Writebacks", // statistics, by value
 	})

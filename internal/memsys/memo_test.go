@@ -20,8 +20,16 @@ type refCache struct {
 }
 
 func newRefCache(cfg CacheConfig) *refCache {
-	c := NewCache(cfg)
-	return &refCache{cfg: cfg, sets: c.sets, lineBits: c.lineBits, lines: make([]line, len(c.lines))}
+	sets := cfg.Sets()
+	return &refCache{cfg: cfg, sets: sets, lineBits: uint(setBits(cfg.LineBytes)), lines: make([]line, sets*cfg.Ways)}
+}
+
+func setBits(sets int) int {
+	b := 0
+	for 1<<b < sets {
+		b++
+	}
+	return b
 }
 
 func (c *refCache) probe(addr uint64, write bool) (hit, writeback bool) {
@@ -199,6 +207,27 @@ func fetchStream(seed uint64, n int) []access {
 	return out
 }
 
+// conflictStream works the memo's edge cases: starting at address 0, it
+// keeps picking among 16 blocks that fall into two sets of every level
+// (eight per set, more than any level's ways), so the line a probe last
+// hit is often evicted and then asked for again; a quarter of accesses
+// repeat the previous block, often as a write.
+func conflictStream(seed uint64, n int) []access {
+	out := make([]access, n)
+	x := seed
+	var addr uint64
+	for i := range out {
+		x = x*6364136223846793005 + 1442695040888963407
+		if i > 0 && x>>62 != 0 {
+			addr = (x>>20)%8<<17 | (x>>30)%2<<6 // 128KB apart: the same set in every level
+		}
+		addr = addr&^15 | (x>>40)%2*8
+		port := int(x>>50) % 3
+		out[i] = access{port: port, addr: addr, write: port != 0 && x>>55&1 == 0}
+	}
+	return out
+}
+
 // TestMemoizedProbeMatchesReference drives the cache hierarchy and the
 // full-scan reference with the same streams and requires the same
 // first-level hit and latency on every access, then the same lines, clock
@@ -210,6 +239,7 @@ func TestMemoizedProbeMatchesReference(t *testing.T) {
 	}{
 		{"mixed", mixedStream(1, 60_000)},
 		{"fetch", fetchStream(2, 60_000)},
+		{"conflict", conflictStream(3, 60_000)},
 	} {
 		for _, pf := range []bool{false, true} {
 			cfg := Default()

@@ -184,22 +184,26 @@ func (p *Pipeline) Now() uint64 { return p.now }
 // to skip initialization, as the paper does before measurement. Caches and
 // the branch predictor are warmed functionally so short measurement runs are
 // not dominated by compulsory misses.
+//
+// Each instruction is one pass through each layer: one emulator step into a
+// reused report, then the instruction fetch and data access, then the
+// predictor. Predicting after the step is exact because Predict reads only
+// predictor state, which the step never touches (DESIGN.md §14).
+//
+//prisim:hotpath
 func (p *Pipeline) FastForward(n uint64) uint64 {
 	var done uint64
+	var info emu.StepInfo
 	for done < n && !p.m.Halted() {
-		pc := p.m.PC
-		u := *p.m.PeekUop()
-		var pred bpred.Prediction
-		if u.Flags&isa.UopControl != 0 {
-			pred = p.bp.Predict(pc, u.Inst)
-		}
-		info := p.m.Step()
+		p.m.StepInto(&info)
 		done++
+		pc, u := info.PC, info.Uop
 		p.mem.InstFetch(pc)
 		if info.IsMem {
 			p.mem.Data(info.MemAddr, u.Flags&isa.UopStore != 0)
 		}
 		if u.Flags&isa.UopControl != 0 {
+			pred := p.bp.Predict(pc, u.Inst)
 			predNPC := pc + 4
 			if pred.Taken {
 				predNPC = pred.Target
