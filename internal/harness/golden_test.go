@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"prisim/internal/bpred"
 	"prisim/internal/core"
 	"prisim/internal/memsys"
 	"prisim/internal/ooo"
@@ -143,7 +142,8 @@ func TestGoldenWarmState(t *testing.T) {
 		for _, c := range []*memsys.Cache{h.IL1, h.DL1, h.L2} {
 			fmt.Fprintf(&sb, "%s acc=%d miss=%d\n", c.Config().Name, c.Accesses, c.Misses)
 		}
-		sb.WriteString(predictorCounters(bp))
+		fmt.Fprintf(&sb, "bpred lookups=%d dirmiss=%d tgtmiss=%d raspops=%d rasmiss=%d btbhits=%d btbmisses=%d\n",
+			bp.Lookups, bp.DirMiss, bp.TargetMiss, bp.RASPops, bp.RASMiss, bp.BTBHits, bp.BTBMisses)
 		warm := p.CaptureWarm()
 		for _, pol := range []core.Policy{core.PolicyBase, core.PolicyPRIRcCkpt} {
 			tp := ooo.NewFromWarm(ooo.Width4().WithPolicy(pol), warm)
@@ -155,9 +155,4 @@ func TestGoldenWarmState(t *testing.T) {
 		t.Errorf("warm-state fingerprint diverged from golden output:\ngot  %s\nwant %s\n%s",
 			got, goldenWarmStateHash, sb.String())
 	}
-}
-
-func predictorCounters(bp *bpred.Predictor) string {
-	return fmt.Sprintf("bpred lookups=%d dirmiss=%d tgtmiss=%d raspops=%d rasmiss=%d btbhits=%d btbmisses=%d\n",
-		bp.Lookups, bp.DirMiss, bp.TargetMiss, bp.RASPops, bp.RASMiss, bp.BTBHits, bp.BTBMisses)
 }

@@ -3,6 +3,7 @@ package ooo
 import (
 	"testing"
 
+	"prisim/internal/asm"
 	"prisim/internal/core"
 	"prisim/internal/workloads"
 )
@@ -83,22 +84,21 @@ func BenchmarkKernelMemBound(b *testing.B) {
 // of each workload by 200k instructions; construction is off the clock.
 func BenchmarkFastForward(b *testing.B) {
 	const ff = 200_000
-	var pipes []func() *Pipeline
+	var progs []*asm.Program
 	for _, name := range []string{"gzip", "mcf", "swim", "equake"} {
 		w, ok := workloads.ByName(name)
 		if !ok {
 			b.Fatalf("unknown workload %q", name)
 		}
-		prog := w.Build(0)
-		pipes = append(pipes, func() *Pipeline { return New(Width4(), prog) })
+		progs = append(progs, w.Build(0))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	total := uint64(0)
 	for i := 0; i < b.N; i++ {
-		for _, mk := range pipes {
+		for _, prog := range progs {
 			b.StopTimer()
-			p := mk()
+			p := New(Width4(), prog)
 			b.StartTimer()
 			total += p.FastForward(ff)
 		}
