@@ -63,9 +63,13 @@ ffgate:
 		-bench BenchmarkFastForward -metric instr/s \
 		-floorkey fast_forward_instr_per_sec_floor -frac 0.7
 
-# lint runs the project's own analyzer suite (always available: it is part
-# of this module) plus vet, then the pinned external linters when present.
+# lint fails on any file gofmt would change, then runs the project's own
+# analyzer suite (always available: it is part of this module) plus vet, then
+# the pinned external linters when present.
 lint: prilint
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \

@@ -170,7 +170,7 @@ func (p *pipe) slabGuarded(evs []wakeEvent) {
 // was posted, so indexing the slab without the gen compare reads whichever
 // instruction now owns the slot.
 func (p *pipe) slabStale(ev wakeEvent) uint64 {
-	p.slab.flags[ev.slot] = 1 // want `slab access p\.slab\.flags\[ev\.slot\] indexed by recycled slot link ev\.slot`
+	p.slab.flags[ev.slot] = 1  // want `slab access p\.slab\.flags\[ev\.slot\] indexed by recycled slot link ev\.slot`
 	return p.slab.val[ev.slot] // want `slab access p\.slab\.val\[ev\.slot\] indexed by recycled slot link ev\.slot`
 }
 

@@ -12,11 +12,11 @@ type ring struct {
 
 //prisim:hotpath
 func literals() {
-	_ = map[int]int{}    // want `map literal allocates`
-	_ = []int{1, 2}      // want `slice literal allocates`
-	_ = &ring{}          // want `&composite literal escapes`
-	_ = make([]int, 8)   // want `make allocates`
-	_ = new(ring)        // want `new allocates`
+	_ = map[int]int{}           // want `map literal allocates`
+	_ = []int{1, 2}             // want `slice literal allocates`
+	_ = &ring{}                 // want `&composite literal escapes`
+	_ = make([]int, 8)          // want `make allocates`
+	_ = new(ring)               // want `new allocates`
 	_ = func() int { return 0 } // want `closure in a hot path`
 }
 
@@ -34,9 +34,9 @@ func freshAppend() []uint64 {
 
 //prisim:hotpath
 func boxing(r *ring, v uint64) {
-	r.any = v      // want `assignment boxes uint64 into an interface`
-	sink(v)        // want `argument boxes uint64 into an interface`
-	_ = string(b)  // want `string/\[\]byte conversion copies`
+	r.any = v     // want `assignment boxes uint64 into an interface`
+	sink(v)       // want `argument boxes uint64 into an interface`
+	_ = string(b) // want `string/\[\]byte conversion copies`
 }
 
 var b []byte

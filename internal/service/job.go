@@ -26,20 +26,20 @@ type job struct {
 	ctx    context.Context    // derived from the server's root context
 	cancel context.CancelFunc // DELETE and drain-deadline both land here
 
-	mu        sync.Mutex
-	state     prisimclient.JobState // guarded by mu
-	errMsg    string                // guarded by mu
-	done, tot int                   // guarded by mu; progress: resolved / requested simulation points
-	created   time.Time             // guarded by mu
-	started   time.Time             // guarded by mu
-	finished  time.Time             // guarded by mu
-	result     *prisim.Result // guarded by mu; simulate and program jobs
-	tables     []prisim.Table // guarded by mu; experiment jobs
-	output     []byte         // guarded by mu; program console output
-	computedBy string         // guarded by mu; node that produced the result
-	subs      map[chan prisimclient.Event]struct{} // guarded by mu
-	doneCh    chan struct{} // closed when the job reaches a terminal state
-	cancelAsk bool          // guarded by mu; DELETE arrived (distinguishes cancel from timeout)
+	mu         sync.Mutex
+	state      prisimclient.JobState                // guarded by mu
+	errMsg     string                               // guarded by mu
+	done, tot  int                                  // guarded by mu; progress: resolved / requested simulation points
+	created    time.Time                            // guarded by mu
+	started    time.Time                            // guarded by mu
+	finished   time.Time                            // guarded by mu
+	result     *prisim.Result                       // guarded by mu; simulate and program jobs
+	tables     []prisim.Table                       // guarded by mu; experiment jobs
+	output     []byte                               // guarded by mu; program console output
+	computedBy string                               // guarded by mu; node that produced the result
+	subs       map[chan prisimclient.Event]struct{} // guarded by mu
+	doneCh     chan struct{}                        // closed when the job reaches a terminal state
+	cancelAsk  bool                                 // guarded by mu; DELETE arrived (distinguishes cancel from timeout)
 }
 
 func newJob(id string, req prisimclient.JobRequest, parent context.Context, now time.Time) *job {
