@@ -1,10 +1,10 @@
 package prisim
 
-// One benchmark per table and figure in the paper's evaluation. Each bench
-// regenerates its experiment end to end (simulating every benchmark x
-// machine x policy point it needs) at a reduced per-run budget so the
-// harness itself is what is being measured; use cmd/priexp for full-budget
-// reproduction output.
+// Benchmarks for the paper's evaluation and the simulator itself.
+// BenchmarkExperiments regenerates every table, figure and ablation end to
+// end (simulating every benchmark x machine x policy point it needs) at a
+// reduced per-run budget so the harness itself is what is being measured;
+// use cmd/priexp for full-budget reproduction output.
 //
 //	go test -bench=. -benchmem
 //
@@ -15,121 +15,46 @@ import (
 	"testing"
 
 	"prisim/internal/core"
-	"prisim/internal/harness"
 	"prisim/internal/ooo"
-	"prisim/internal/stats"
 	"prisim/internal/workloads"
 )
 
-// benchBudget keeps testing.B iterations affordable; experiments run every
-// (benchmark, machine, policy) cell they need at this budget.
-var benchBudget = harness.Budget{FastForward: 2000, Run: 6000}
-
-var benchCtx = context.Background()
-
-func newRunner() *harness.Runner { return harness.NewRunner(benchBudget) }
-
-// rows fails the benchmark unless the driver succeeded and produced n rows.
-func rows(b *testing.B, t *stats.Table, err error, n int) {
-	b.Helper()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(t.Rows) != n {
-		b.Fatalf("incomplete: %d rows, want %d", len(t.Rows), n)
-	}
+// experimentRows is each experiment's row count per table, in table order:
+// 27 workloads, 13 integer or 14 floating-point ones, plus an average row
+// in Figures 10 and 12.
+var experimentRows = map[string][]int{
+	"table1": {15}, "table2": {27}, "fig1": {13}, "fig2": {13, 14}, "fig8": {13},
+	"fig9": {27, 27}, "fig10": {14, 14}, "fig11": {13, 13}, "fig12": {15, 15},
+	"ablation-inline": {13}, "ablation-mem": {13}, "ablation-delayed": {13},
+	"ablation-mshr": {13}, "ablation-prefetch": {13},
 }
 
-func BenchmarkTable1Machines(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if harness.Table1().String() == "" {
-			b.Fatal("empty table")
+// BenchmarkExperiments regenerates each experiment on a fresh Engine (cold
+// cache, GOMAXPROCS workers) every iteration, running every (benchmark,
+// machine, policy) cell it needs at a 2k + 6k budget.
+func BenchmarkExperiments(b *testing.B) {
+	ctx := context.Background()
+	for _, name := range ExperimentNames() {
+		want, ok := experimentRows[name]
+		if !ok {
+			b.Fatalf("no row counts recorded for experiment %q", name)
 		}
-	}
-}
-
-func BenchmarkTable2BaseIPC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := newRunner().Table2(benchCtx)
-		rows(b, t, err, 27)
-	}
-}
-
-func BenchmarkFig1RegisterLifetime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := newRunner().Fig1(benchCtx)
-		rows(b, t, err, 13)
-	}
-}
-
-func BenchmarkFig2OperandSignificance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		intT, fpT, err := newRunner().Fig2(benchCtx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(intT.Rows) != 13 || len(fpT.Rows) != 14 {
-			b.Fatal("fig 2 incomplete")
-		}
-	}
-}
-
-func BenchmarkFig8LifetimeReduction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := newRunner().Fig8(benchCtx)
-		rows(b, t, err, 13)
-	}
-}
-
-func BenchmarkFig9RegisterSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := newRunner().Fig9(benchCtx, 4)
-		rows(b, t, err, 27)
-	}
-}
-
-func BenchmarkFig10IntSpeedups(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := newRunner().Fig10(benchCtx, 4)
-		rows(b, t, err, 14)
-	}
-}
-
-func BenchmarkFig11Occupancy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := newRunner().Fig11(benchCtx, 4)
-		rows(b, t, err, 13)
-	}
-}
-
-func BenchmarkFig12FPSpeedups(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := newRunner().Fig12(benchCtx, 4)
-		rows(b, t, err, 15)
-	}
-}
-
-func BenchmarkAblationRenameInline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := newRunner().AblationRenameInline(benchCtx, 4)
-		rows(b, t, err, 13)
-	}
-}
-
-func BenchmarkAblationDisambiguation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := newRunner().AblationDisambiguation(benchCtx, 4)
-		rows(b, t, err, 13)
-	}
-}
-
-// BenchmarkFig8Parallel measures the same experiment on a worker pool sized
-// by GOMAXPROCS (cold cache each iteration) — the wall-clock win the v2
-// harness exists for.
-func BenchmarkFig8Parallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := harness.NewParallelRunner(benchBudget, 0).Fig8(benchCtx)
-		rows(b, t, err, 13)
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tables, err := NewEngine(WithBudget(2000, 6000)).ExperimentTables(ctx, name, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(tables) != len(want) {
+					b.Fatalf("%d tables, want %d", len(tables), len(want))
+				}
+				for j, t := range tables {
+					if len(t.Rows) != want[j] {
+						b.Fatalf("table %d: %d rows, want %d", j, len(t.Rows), want[j])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -160,26 +85,5 @@ func BenchmarkSchemeOverhead(b *testing.B) {
 				p.Run(5000)
 			}
 		})
-	}
-}
-
-func BenchmarkAblationDelayedAllocation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := newRunner().AblationDelayedAllocation(benchCtx, 4)
-		rows(b, t, err, 13)
-	}
-}
-
-func BenchmarkAblationMSHR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := newRunner().AblationMSHR(benchCtx, 4)
-		rows(b, t, err, 13)
-	}
-}
-
-func BenchmarkAblationPrefetch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := newRunner().AblationPrefetch(benchCtx, 4)
-		rows(b, t, err, 13)
 	}
 }

@@ -8,7 +8,9 @@
 //	priexp [flags] [experiment ...]
 //
 // Experiments: table1 table2 fig1 fig2 fig8 fig9 fig10 fig11 fig12
-// ablation-inline ablation-mem (default: all paper experiments).
+// ablation-inline ablation-mem ablation-delayed ablation-mshr
+// ablation-prefetch (default: the nine paper experiments, table1 through
+// fig12).
 //
 // Absolute numbers depend on the synthetic workloads and scaled-down run
 // budgets; the shapes (who wins, by roughly what factor) are the
@@ -55,19 +57,15 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := []prisim.EngineOption{
-		prisim.WithBudget(*ff, *run),
-		prisim.WithParallelism(*workers),
-	}
+	eng := prisim.NewEngine(prisim.WithBudget(*ff, *run), prisim.WithParallelism(*workers))
 	if *verbose {
-		opts = append(opts, prisim.WithProgress(func(done, total int) {
+		eng = eng.ProgressView(func(done, total int) {
 			fmt.Fprintf(os.Stderr, "\r%d/%d runs complete", done, total)
 			if done == total {
 				fmt.Fprintln(os.Stderr)
 			}
-		}))
+		})
 	}
-	eng := prisim.NewEngine(opts...)
 
 	if *timing != "" {
 		if err := writeTiming(ctx, *timing, *ff, *run); err != nil {

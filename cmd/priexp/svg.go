@@ -19,7 +19,7 @@ func writeSVGs(dir, name string, tables []prisim.Table) error {
 		return err
 	}
 	for i, t := range tables {
-		chart, err := chartFor(name, toStats(t))
+		chart, err := chartFor(name, &t)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -37,11 +37,6 @@ func writeSVGs(dir, name string, tables []prisim.Table) error {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	}
 	return nil
-}
-
-// toStats rebuilds the plot-facing table form from the public API's table.
-func toStats(t prisim.Table) *stats.Table {
-	return &stats.Table{Title: t.Title, Columns: t.Columns, Rows: t.Rows}
 }
 
 func chartFor(name string, t *stats.Table) (*plot.Chart, error) {

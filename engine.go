@@ -39,7 +39,6 @@ type Engine struct {
 type engineSettings struct {
 	budget       harness.Budget
 	workers      int
-	onProgress   func(done, total int)
 	snapshotsOff bool
 }
 
@@ -62,14 +61,6 @@ func WithParallelism(n int) EngineOption {
 	return func(s *engineSettings) { s.workers = n }
 }
 
-// WithProgress registers fn to be called after every completed simulation
-// with the number of runs finished and submitted so far, letting CLIs
-// stream completion counts. Calls are serialized; fn must be fast and must
-// not call back into the Engine.
-func WithProgress(fn func(done, total int)) EngineOption {
-	return func(s *engineSettings) { s.onProgress = fn }
-}
-
 // WithSnapshots enables or disables the fast-forward snapshot cache
 // (enabled by default): each workload's functional fast-forward executes
 // once and every later run for that workload starts from a copy-on-write
@@ -86,9 +77,6 @@ func NewEngine(opts ...EngineOption) *Engine {
 		o(&s)
 	}
 	r := harness.NewParallelRunner(s.budget, s.workers)
-	if s.onProgress != nil {
-		r.OnProgress(s.onProgress)
-	}
 	if s.snapshotsOff {
 		r.SetSnapshots(false)
 	}
@@ -159,34 +147,6 @@ func machineFor(o Options) (ooo.Config, error) {
 	return cfg, nil
 }
 
-// toResult converts a harness result into the public form.
-func toResult(hr *harness.Result, cfg ooo.Config) Result {
-	return Result{
-		Benchmark:      hr.Bench,
-		Machine:        cfg.Name,
-		IntPRs:         cfg.Rename.IntPRs,
-		FPPRs:          cfg.Rename.FPPRs,
-		IPC:            hr.IPC,
-		Cycles:         hr.Cycles,
-		Committed:      hr.Committed,
-		IntOccupancy:   hr.IntOccupancy,
-		FPOccupancy:    hr.FPOccupancy,
-		AllocToWrite:   hr.AllocToWrite,
-		WriteToRead:    hr.WriteToRead,
-		ReadToRelease:  hr.ReadToRelease,
-		InlineFraction: hr.InlineFraction,
-		MispredictRate: hr.Mispredict,
-		BranchResolved: hr.BranchResolved,
-		DL1MissRate:    hr.DL1Miss,
-		L2MissRate:     hr.L2Miss,
-		Replays:        hr.Replays,
-		InlinedResults: hr.InlinedResults,
-		WAWSuppressed:  hr.WAWSuppressed,
-		DeferredFrees:  hr.DeferredFrees,
-		EarlyFrees:     hr.EarlyFrees,
-	}
-}
-
 // Simulate runs one benchmark at one machine point and returns the result.
 // Identical concurrent calls share a single simulation; repeated calls hit
 // the Engine's cache, which is keyed by the whole machine, so a MachineJSON
@@ -199,19 +159,19 @@ func (e *Engine) Simulate(ctx context.Context, o Options) (Result, error) {
 		return Result{}, err
 	}
 	rr := e.runnerFor(o)
-	var hr *harness.Result
+	var res *Result
 	if o.PipeView != nil {
-		hr, _, err = harness.RunProgram(ctx, cfg, w.Build(0), w.Class == workloads.FP, rr.Budget, 0, o.PipeView)
-		if hr != nil {
-			hr.Bench = w.Name
+		res, _, err = harness.RunProgram(ctx, cfg, w.Build(0), w.Class == workloads.FP, rr.Budget, 0, o.PipeView)
+		if res != nil {
+			res.Benchmark = w.Name
 		}
 	} else {
-		hr, err = rr.RunCtx(ctx, w, cfg)
+		res, err = rr.RunCtx(ctx, w, cfg)
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	return toResult(hr, cfg), nil
+	return *res, nil
 }
 
 // ErrMemLimit matches (via errors.Is) the failure of a SimulateProgram run
@@ -285,11 +245,11 @@ func (e *Engine) SimulateProgram(ctx context.Context, p *Program, o Options) (Pr
 		run = math.MaxUint64 / 2 // run to halt
 	}
 	b := harness.Budget{FastForward: o.FastForward, Run: run}
-	hr, out, err := harness.RunProgram(ctx, cfg, p.prog, false, b, o.MemLimit, o.PipeView)
+	res, out, err := harness.RunProgram(ctx, cfg, p.prog, false, b, o.MemLimit, o.PipeView)
 	if err != nil {
 		return ProgramResult{}, err
 	}
-	return ProgramResult{Result: toResult(hr, cfg), Output: out}, nil
+	return ProgramResult{Result: *res, Output: out}, nil
 }
 
 // MachineJSON renders the machine configuration o selects as JSON — the
@@ -303,95 +263,17 @@ func MachineJSON(o Options) ([]byte, error) {
 }
 
 // Table is a rendered experiment table: the title, column headers, and row
-// cells of one of the paper's figures or tables.
-type Table struct {
-	Title   string
-	Columns []string
-	Rows    [][]string
-}
-
-// String renders the table as aligned fixed-width text.
-func (t Table) String() string {
-	st := &stats.Table{Title: t.Title, Columns: t.Columns, Rows: t.Rows}
-	return st.String()
-}
-
-// experimentOrder lists the valid experiment names in canonical order.
-var experimentOrder = []string{
-	"table1", "table2", "fig1", "fig2", "fig8", "fig9", "fig10", "fig11",
-	"fig12", "ablation-inline", "ablation-mem", "ablation-delayed",
-	"ablation-mshr", "ablation-prefetch",
-}
-
-// experimentFuncs maps each experiment name to its harness driver.
-var experimentFuncs = map[string]func(ctx context.Context, r *harness.Runner) ([]*stats.Table, error){
-	"table1": func(ctx context.Context, r *harness.Runner) ([]*stats.Table, error) {
-		return []*stats.Table{harness.Table1()}, nil
-	},
-	"table2": one((*harness.Runner).Table2),
-	"fig1":   one((*harness.Runner).Fig1),
-	"fig2": func(ctx context.Context, r *harness.Runner) ([]*stats.Table, error) {
-		a, b, err := r.Fig2(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{a, b}, nil
-	},
-	"fig8":              one((*harness.Runner).Fig8),
-	"fig9":              widths((*harness.Runner).Fig9),
-	"fig10":             widths((*harness.Runner).Fig10),
-	"fig11":             widths((*harness.Runner).Fig11),
-	"fig12":             widths((*harness.Runner).Fig12),
-	"ablation-inline":   at4((*harness.Runner).AblationRenameInline),
-	"ablation-mem":      at4((*harness.Runner).AblationDisambiguation),
-	"ablation-delayed":  at4((*harness.Runner).AblationDelayedAllocation),
-	"ablation-mshr":     at4((*harness.Runner).AblationMSHR),
-	"ablation-prefetch": at4((*harness.Runner).AblationPrefetch),
-}
-
-// one adapts a single-table driver.
-func one(fn func(*harness.Runner, context.Context) (*stats.Table, error)) func(context.Context, *harness.Runner) ([]*stats.Table, error) {
-	return func(ctx context.Context, r *harness.Runner) ([]*stats.Table, error) {
-		t, err := fn(r, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{t}, nil
-	}
-}
-
-// widths adapts a per-width driver run at both machine widths.
-func widths(fn func(*harness.Runner, context.Context, int) (*stats.Table, error)) func(context.Context, *harness.Runner) ([]*stats.Table, error) {
-	return func(ctx context.Context, r *harness.Runner) ([]*stats.Table, error) {
-		t4, err := fn(r, ctx, 4)
-		if err != nil {
-			return nil, err
-		}
-		t8, err := fn(r, ctx, 8)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{t4, t8}, nil
-	}
-}
-
-// at4 adapts a per-width driver run at the 4-wide machine only (the
-// ablations).
-func at4(fn func(*harness.Runner, context.Context, int) (*stats.Table, error)) func(context.Context, *harness.Runner) ([]*stats.Table, error) {
-	return func(ctx context.Context, r *harness.Runner) ([]*stats.Table, error) {
-		t, err := fn(r, ctx, 4)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{t}, nil
-	}
-}
+// cells of one of the paper's figures or tables. String renders it as
+// aligned fixed-width text.
+type Table = stats.Table
 
 // ExperimentNames lists the valid Experiment names in canonical order.
 func ExperimentNames() []string {
-	out := make([]string, len(experimentOrder))
-	copy(out, experimentOrder)
-	return out
+	names := make([]string, len(harness.Experiments))
+	for i, x := range harness.Experiments {
+		names[i] = x.Name
+	}
+	return names
 }
 
 // ExperimentTables regenerates one of the paper's tables or figures and
@@ -400,20 +282,13 @@ func ExperimentNames() []string {
 // repeated calls produce identical tables regardless of parallelism.
 // o supplies the per-run budget (other Options fields are ignored).
 func (e *Engine) ExperimentTables(ctx context.Context, name string, o Options) ([]Table, error) {
-	fn, ok := experimentFuncs[name]
-	if !ok {
-		return nil, fmt.Errorf("prisim: %w: %q (have: %s)",
-			ErrUnknownExperiment, name, strings.Join(experimentOrder, " "))
+	for _, x := range harness.Experiments {
+		if x.Name == name {
+			return x.Tables(e.runnerFor(o), ctx)
+		}
 	}
-	ts, err := fn(ctx, e.runnerFor(o))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Table, 0, len(ts))
-	for _, t := range ts {
-		out = append(out, Table{Title: t.Title, Columns: t.Columns, Rows: t.Rows})
-	}
-	return out, nil
+	return nil, fmt.Errorf("prisim: %w: %q (have: %s)",
+		ErrUnknownExperiment, name, strings.Join(ExperimentNames(), " "))
 }
 
 // Experiment regenerates one of the paper's tables or figures as rendered

@@ -27,9 +27,8 @@ type flightTable[K comparable, V any] struct {
 	hit  func(v V, waited bool) // a completed flight answered, at once or after a join
 	join func()                 // about to wait on another caller's flight
 	// landed: the caller's own flight succeeded; resident is false when the
-	// table dropped it mid-compute. A non-nil after runs once the lock is
-	// released.
-	landed func(v V, resident bool) (after func())
+	// table dropped it mid-compute.
+	landed func(v V, resident bool)
 }
 
 // do returns key's value, computing it at most once across concurrent
@@ -87,19 +86,15 @@ func (t *flightTable[K, V]) do(ctx context.Context, key K, waiting func(), compu
 func (t *flightTable[K, V]) own(key K, f *flight[V], compute func() (V, error)) (V, error) {
 	f.err = errOwnerPanicked // overwritten unless compute panics
 	defer func() {
-		var after func()
 		t.mu.Lock()
 		resident := t.flights[key] == f
 		if f.err == nil {
-			after = t.landed(f.val, resident)
+			t.landed(f.val, resident)
 		} else if resident {
 			delete(t.flights, key)
 		}
 		close(f.done)
 		t.mu.Unlock()
-		if after != nil {
-			after()
-		}
 	}()
 	f.val, f.err = compute()
 	return f.val, f.err

@@ -64,13 +64,13 @@ func sha(s string) string {
 // fixed budget and asserts the rendered output is bit-identical to the
 // recorded pre-rewrite kernel.
 func TestGoldenFig8Table(t *testing.T) {
-	tbl, err := NewParallelRunner(goldenBudget, 1).Fig8(context.Background())
+	tables, err := NewParallelRunner(goldenBudget, 1).Fig8(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sha(tbl.String()); got != goldenFig8Hash {
+	if got := sha(tables[0].String()); got != goldenFig8Hash {
 		t.Errorf("fig8 table diverged from golden kernel output:\ngot  %s\nwant %s\ntable:\n%s",
-			got, goldenFig8Hash, tbl.String())
+			got, goldenFig8Hash, tables[0].String())
 	}
 }
 
@@ -89,12 +89,12 @@ func TestGoldenAllExperiments(t *testing.T) {
 	if got := sha(sb.String()); got != goldenReportHash {
 		t.Errorf("report diverged from golden output:\ngot  %s\nwant %s\n%s", got, goldenReportHash, sb.String())
 	}
-	pf, err := r.AblationPrefetch(context.Background(), 4)
+	pf, err := r.AblationPrefetch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sha(pf.String()); got != goldenPrefetchHash {
-		t.Errorf("prefetch ablation diverged from golden output:\ngot  %s\nwant %s\n%s", got, goldenPrefetchHash, pf.String())
+	if got := sha(pf[0].String()); got != goldenPrefetchHash {
+		t.Errorf("prefetch ablation diverged from golden output:\ngot  %s\nwant %s\n%s", got, goldenPrefetchHash, pf[0].String())
 	}
 }
 

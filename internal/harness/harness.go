@@ -38,8 +38,15 @@ type Budget struct {
 	Run         uint64
 }
 
+// The paper-methodology per-run budget defaults, re-exported by package
+// prisim as part of its content-hash schema.
+const (
+	DefaultFastForward = 20_000
+	DefaultRun         = 80_000
+)
+
 // DefaultBudget is used by the experiment drivers unless overridden.
-var DefaultBudget = Budget{FastForward: 20_000, Run: 80_000}
+var DefaultBudget = Budget{FastForward: DefaultFastForward, Run: DefaultRun}
 
 // orDefault fills zero fields from DefaultBudget.
 func (b Budget) orDefault() Budget {
@@ -52,32 +59,33 @@ func (b Budget) orDefault() Budget {
 	return b
 }
 
-// Result is everything the experiments need from one timing run.
+// Result summarizes one timing run.
 type Result struct {
-	Bench  string
-	Config string
-	Policy string
+	Benchmark string
+	Machine   string // machine configuration name ("4wide" / "8wide")
+	IntPRs    int    // integer physical register file size simulated
+	FPPRs     int    // floating-point physical register file size simulated
 
-	IPC          float64
-	Cycles       uint64
-	Committed    uint64
-	IntOccupancy float64
+	IPC       float64
+	Cycles    uint64
+	Committed uint64
+
+	IntOccupancy float64 // mean allocated integer physical registers
 	FPOccupancy  float64
 
-	// Register lifetime phases, averaged per released register (cycles),
-	// for the class matching the benchmark suite.
-	AllocToWrite  float64
-	WriteToRead   float64
-	ReadToRelease float64
+	// Register lifetime phases (cycles, averaged per released register of
+	// the benchmark's dominant class).
+	AllocToWrite, WriteToRead, ReadToRelease float64
 
-	InlineFraction float64
-	Mispredict     float64
-	DL1Miss        float64
-	L2Miss         float64
-	Replays        uint64
+	InlineFraction float64 // source operands served from inlined map entries
+	MispredictRate float64
 	BranchResolved uint64
+	DL1MissRate    float64
+	L2MissRate     float64
+	Replays        uint64 // scheduler latency mis-speculation replays
 
-	// PRI activity counters for the dominant register class.
+	// PRI activity counters for the benchmark's dominant register class
+	// (zero under non-PRI policies).
 	InlinedResults uint64
 	WAWSuppressed  uint64
 	DeferredFrees  uint64
@@ -93,17 +101,16 @@ type runKey struct {
 }
 
 // shared is the Runner state common to every budget view: the run and
-// snapshot caches, the worker pool, and the progress counters. Budget-scoped
+// snapshot caches, the worker pool, and the cache counters. Budget-scoped
 // views created with WithBudget alias it, so deduplication spans all of them.
 type shared struct {
 	sem chan struct{} // bounded worker pool
 
-	mu         sync.Mutex
-	runs       flightTable[runKey, *Result]
-	onProgress func(done, total int) // guarded by mu
-	completed  int                   // guarded by mu
-	hits       int                   // guarded by mu; requests served by an already-completed run
-	coalesced  int                   // guarded by mu; requests that joined another caller's in-flight run
+	mu        sync.Mutex
+	runs      flightTable[runKey, *Result]
+	completed int // guarded by mu
+	hits      int // guarded by mu; requests served by an already-completed run
+	coalesced int // guarded by mu; requests that joined another caller's in-flight run
 
 	// Fast-forward snapshot cache (see snapshot.go).
 	snaps      flightTable[snapKey, *snapshot]
@@ -149,10 +156,6 @@ type Runner struct {
 	view   *viewState // nil unless created by ProgressView
 }
 
-// NewRunner returns a Runner with the given budget (zero fields take the
-// defaults) and a worker pool sized by GOMAXPROCS.
-func NewRunner(b Budget) *Runner { return NewParallelRunner(b, 0) }
-
 // NewParallelRunner returns a Runner whose pool admits at most workers
 // concurrent simulations; workers <= 0 selects GOMAXPROCS. workers == 1
 // reproduces the serial execution order exactly.
@@ -179,9 +182,7 @@ func NewParallelRunner(b Budget, workers int) *Runner {
 }
 
 // The run cache's books: Hits counts only instant answers from a completed
-// run, Coalesced counts joins, and Executed counts landed runs, each of which
-// fires OnProgress with the runs completed and submitted — every flight
-// still in the table, since only failed ones are evicted.
+// run, Coalesced counts joins, and Executed counts landed runs.
 
 func (s *shared) runHitLocked(_ *Result, waited bool) {
 	if !waited {
@@ -191,18 +192,11 @@ func (s *shared) runHitLocked(_ *Result, waited bool) {
 
 func (s *shared) runJoinLocked() { s.coalesced++ }
 
-func (s *shared) runLandedLocked(*Result, bool) func() {
-	s.completed++
-	hook, done, total := s.onProgress, s.completed, len(s.runs.flights)
-	if hook == nil {
-		return nil
-	}
-	return func() { hook(done, total) }
-}
+func (s *shared) runLandedLocked(*Result, bool) { s.completed++ }
 
 // WithBudget returns a view of the Runner that simulates at budget b (zero
 // fields fall back to the receiver's budget) while sharing the receiver's
-// cache, worker pool, and progress hooks. The budget is part of the cache
+// cache, worker pool, and progress view. The budget is part of the cache
 // key, so views never alias each other's results.
 func (r *Runner) WithBudget(b Budget) *Runner {
 	if b.FastForward == 0 {
@@ -215,12 +209,12 @@ func (r *Runner) WithBudget(b Budget) *Runner {
 }
 
 // ProgressView returns a view of the Runner that reports per-view progress
-// to fn while sharing the receiver's cache, worker pool, and global progress
-// hooks. fn is called after each of the view's requests resolves, with the
-// number resolved and the number submitted by this view so far; requests
-// answered instantly from a completed cache entry do not fire it. Calls are
-// serialized; fn must be fast and must not call back into the Runner. The
-// view survives WithBudget, so one view can track a whole experiment.
+// to fn while sharing the receiver's cache and worker pool. fn is called
+// after each of the view's requests resolves, with the number resolved and
+// the number submitted by this view so far; requests answered instantly
+// from a completed cache entry do not fire it. Calls are serialized; fn
+// must be fast and must not call back into the Runner. The view survives
+// WithBudget, so one view can track a whole experiment.
 func (r *Runner) ProgressView(fn func(done, total int)) *Runner {
 	return &Runner{Budget: r.Budget, s: r.s, view: &viewState{hook: fn}}
 }
@@ -265,28 +259,6 @@ func (r *Runner) viewDone() {
 		r.view.hook(r.view.done, r.view.submitted)
 	}
 	r.view.mu.Unlock()
-}
-
-// OnProgress registers fn to be called after every completed run with the
-// number of runs finished and the number submitted so far. Calls are
-// serialized; fn must not call back into the Runner.
-func (r *Runner) OnProgress(fn func(done, total int)) {
-	r.s.mu.Lock()
-	r.s.onProgress = fn
-	r.s.mu.Unlock()
-}
-
-// Run simulates one benchmark on one machine configuration, memoized. It is
-// the context-free form of RunCtx and never fails.
-func (r *Runner) Run(w workloads.Workload, cfg ooo.Config) *Result {
-	//lint:ignore ctxcheck Run is the documented context-free convenience form; RunCtx is the context-threading API
-	res, err := r.RunCtx(context.Background(), w, cfg)
-	if err != nil {
-		// Unreachable: a background context cannot be cancelled, and RunCtx
-		// retries flights that a sibling's cancelled context tore down.
-		panic("harness: Run failed: " + err.Error())
-	}
-	return res
 }
 
 // RunCtx simulates one benchmark on one machine configuration, memoized and
@@ -342,11 +314,7 @@ func (r *Runner) simulate(ctx context.Context, w workloads.Workload, cfg ooo.Con
 	if err := runChunked(ctx, p.Run, r.Budget.Run); err != nil {
 		return nil, err
 	}
-	res := buildResult(p, w.Class == workloads.FP)
-	res.Bench = w.Name
-	res.Config = cfg.Name
-	res.Policy = cfg.Rename.Policy.Name()
-	return res, nil
+	return buildResult(p, cfg, w.Name, w.Class == workloads.FP), nil
 }
 
 // runChunked drives a resumable budgeted phase (FastForward or Run) in
@@ -387,9 +355,10 @@ func runChunkedCheck(ctx context.Context, phase func(uint64) uint64, n uint64, c
 	return nil
 }
 
-// buildResult snapshots a finished pipeline into a Result, reporting the
-// lifetime and PRI counters of the fp or integer register class.
-func buildResult(p *ooo.Pipeline, fp bool) *Result {
+// buildResult snapshots a pipeline that finished running bench on cfg into a
+// Result, reporting the lifetime and PRI counters of the fp or integer
+// register class.
+func buildResult(p *ooo.Pipeline, cfg ooo.Config, bench string, fp bool) *Result {
 	st := p.Stats()
 	life := p.Renamer().IntStats()
 	if fp {
@@ -397,6 +366,10 @@ func buildResult(p *ooo.Pipeline, fp bool) *Result {
 	}
 	aw, wr, rr := life.AvgPhases()
 	return &Result{
+		Benchmark:      bench,
+		Machine:        cfg.Name,
+		IntPRs:         cfg.Rename.IntPRs,
+		FPPRs:          cfg.Rename.FPPRs,
 		IPC:            st.IPC(),
 		Cycles:         st.Cycles,
 		Committed:      st.Committed,
@@ -406,11 +379,11 @@ func buildResult(p *ooo.Pipeline, fp bool) *Result {
 		WriteToRead:    wr,
 		ReadToRelease:  rr,
 		InlineFraction: st.InlineFraction(),
-		Mispredict:     st.MispredictRate(),
-		DL1Miss:        p.Mem().DL1.MissRate(),
-		L2Miss:         p.Mem().L2.MissRate(),
-		Replays:        st.Replays,
+		MispredictRate: st.MispredictRate(),
 		BranchResolved: st.BranchResolved,
+		DL1MissRate:    p.Mem().DL1.MissRate(),
+		L2MissRate:     p.Mem().L2.MissRate(),
+		Replays:        st.Replays,
 		InlinedResults: life.InlinedResults,
 		WAWSuppressed:  life.WAWSuppressed,
 		DeferredFrees:  life.DeferredFrees,
@@ -427,11 +400,11 @@ var ErrMemLimit = errors.New("simulated memory limit exceeded")
 // memoize under). The budget is used verbatim — FastForward 0 skips nothing
 // and Run bounds committed instructions, stopping early if the program
 // halts. It honours ctx between instruction chunks, optionally streams an
-// O3PipeView trace to pipeview, and returns the run's Result alongside the
-// program's console output. memLimit > 0 caps the simulated machine's
-// resident footprint (checked between chunks, so a run can overshoot by at
-// most one chunk's worth of page touches); exceeding it fails the run with
-// an error wrapping ErrMemLimit.
+// O3PipeView trace to pipeview, and returns the run's Result (with an empty
+// Benchmark) alongside the program's console output. memLimit > 0 caps the
+// simulated machine's resident footprint (checked between chunks, so a run
+// can overshoot by at most one chunk's worth of page touches); exceeding it
+// fails the run with an error wrapping ErrMemLimit.
 func RunProgram(ctx context.Context, cfg ooo.Config, prog *asm.Program, fp bool, b Budget, memLimit uint64, pipeview io.Writer) (*Result, []byte, error) {
 	p := ooo.New(cfg, prog)
 	if pipeview != nil {
@@ -455,10 +428,7 @@ func RunProgram(ctx context.Context, cfg ooo.Config, prog *asm.Program, fp bool,
 	if pipeview != nil {
 		p.FlushPipeView()
 	}
-	res := buildResult(p, fp)
-	res.Config = cfg.Name
-	res.Policy = cfg.Rename.Policy.Name()
-	return res, p.Machine().Output(), nil
+	return buildResult(p, cfg, "", fp), p.Machine().Output(), nil
 }
 
 // firstError keeps the first error reported by a set of goroutines.
@@ -562,9 +532,50 @@ func mean(vs []float64) float64 {
 	return sum / float64(len(vs))
 }
 
+// Experiment is one regenerable table or figure of the paper's evaluation,
+// or one ablation beyond it.
+type Experiment struct {
+	Name string
+	// Tables runs the experiment's sweeps on r and renders its tables.
+	Tables func(r *Runner, ctx context.Context) ([]stats.Table, error)
+}
+
+// Experiments lists every experiment in canonical order: the order the
+// public API names them and WriteReport renders them.
+var Experiments = []Experiment{
+	{"table1", (*Runner).Table1},
+	{"table2", (*Runner).Table2},
+	{"fig1", (*Runner).Fig1},
+	{"fig2", (*Runner).Fig2},
+	{"fig8", (*Runner).Fig8},
+	{"fig9", (*Runner).Fig9},
+	{"fig10", (*Runner).Fig10},
+	{"fig11", (*Runner).Fig11},
+	{"fig12", (*Runner).Fig12},
+	{"ablation-inline", (*Runner).AblationRenameInline},
+	{"ablation-mem", (*Runner).AblationDisambiguation},
+	{"ablation-delayed", (*Runner).AblationDelayedAllocation},
+	{"ablation-mshr", (*Runner).AblationMSHR},
+	{"ablation-prefetch", (*Runner).AblationPrefetch},
+}
+
+// bothWidths renders a per-width table on the 4-wide machine, then on the
+// 8-wide one; each table comes from its own sweep.
+func bothWidths(table func(width int) (stats.Table, error)) ([]stats.Table, error) {
+	t4, err := table(4)
+	if err != nil {
+		return nil, err
+	}
+	t8, err := table(8)
+	if err != nil {
+		return nil, err
+	}
+	return []stats.Table{t4, t8}, nil
+}
+
 // Table1 renders the machine configurations (static; the paper's Table 1).
-func Table1() *stats.Table {
-	t := &stats.Table{
+func (*Runner) Table1(context.Context) ([]stats.Table, error) {
+	t := stats.Table{
 		Title:   "Table 1: machine configurations",
 		Columns: []string{"parameter", "4-wide", "8-wide"},
 	}
@@ -585,18 +596,18 @@ func Table1() *stats.Table {
 	row("L2", "512KB 4-way 64B, 12cyc", "same")
 	row("memory latency", c4.Mem.MemLatency, c8.Mem.MemLatency)
 	row("select-to-execute depth", c4.SchedToExec, c8.SchedToExec)
-	return t
+	return []stats.Table{t}, nil
 }
 
 // Table2 reproduces the paper's Table 2: baseline IPC for every benchmark
 // on both machine widths.
-func (r *Runner) Table2(ctx context.Context) (*stats.Table, error) {
+func (r *Runner) Table2(ctx context.Context) ([]stats.Table, error) {
 	ws := workloads.All()
 	grid, err := r.sweep(ctx, ws, machine(4), machine(8))
 	if err != nil {
 		return nil, err
 	}
-	t := &stats.Table{
+	t := stats.Table{
 		Title:   "Table 2: benchmark programs and baseline IPC",
 		Columns: []string{"bench", "class", "IPC(4w)", "paper(4w)", "IPC(8w)", "paper(8w)"},
 	}
@@ -606,18 +617,18 @@ func (r *Runner) Table2(ctx context.Context) (*stats.Table, error) {
 			stats.F(r4.IPC, 2), stats.F(w.PaperIPC4, 2),
 			stats.F(r8.IPC, 2), stats.F(w.PaperIPC8, 2))
 	}
-	return t, nil
+	return []stats.Table{t}, nil
 }
 
 // Fig1 reproduces Figure 1: average register lifetime split into the three
 // phases, per integer benchmark, on the baseline 4- and 8-wide machines.
-func (r *Runner) Fig1(ctx context.Context) (*stats.Table, error) {
+func (r *Runner) Fig1(ctx context.Context) ([]stats.Table, error) {
 	ws := suite(workloads.Int)
 	grid, err := r.sweep(ctx, ws, machine(4), machine(8))
 	if err != nil {
 		return nil, err
 	}
-	t := &stats.Table{
+	t := stats.Table{
 		Title: "Figure 1: average register lifetime (cycles) split by phase, baseline",
 		Columns: []string{"bench",
 			"alloc->wr(4w)", "wr->rd(4w)", "rd->rel(4w)", "total(4w)",
@@ -631,14 +642,15 @@ func (r *Runner) Fig1(ctx context.Context) (*stats.Table, error) {
 			stats.F(r8.AllocToWrite, 1), stats.F(r8.WriteToRead, 1), stats.F(r8.ReadToRelease, 1),
 			stats.F(r8.AllocToWrite+r8.WriteToRead+r8.ReadToRelease, 1))
 	}
-	return t, nil
+	return []stats.Table{t}, nil
 }
 
 // Fig2 reproduces Figure 2: the cumulative distribution of operand
-// significance — integer operand widths and FP exponent/significand widths —
-// measured over the functional instruction stream. The per-benchmark
-// analyses are independent, so they fan out over the worker pool.
-func (r *Runner) Fig2(ctx context.Context) (*stats.Table, *stats.Table, error) {
+// significance — integer operand widths, then FP exponent/significand
+// widths — measured over the functional instruction stream. The
+// per-benchmark analyses are independent, so they fan out over the worker
+// pool.
+func (r *Runner) Fig2(ctx context.Context) ([]stats.Table, error) {
 	analyze := func(ws []workloads.Workload) ([]*stats.Significance, error) {
 		sigs := make([]*stats.Significance, len(ws))
 		err := r.forEach(ctx, len(ws), func(i int) error {
@@ -650,7 +662,7 @@ func (r *Runner) Fig2(ctx context.Context) (*stats.Table, *stats.Table, error) {
 		return sigs, err
 	}
 
-	intT := &stats.Table{
+	intT := stats.Table{
 		Title:   "Figure 2 (top): cumulative % of integer operands representable in N bits",
 		Columns: []string{"bench", "<=4", "<=7", "<=8", "<=10", "<=12", "<=16", "<=24", "<=32", "<=48", "<=64"},
 	}
@@ -658,7 +670,7 @@ func (r *Runner) Fig2(ctx context.Context) (*stats.Table, *stats.Table, error) {
 	intWs := suite(workloads.Int)
 	intSigs, err := analyze(intWs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for i, w := range intWs {
 		row := []string{w.Name}
@@ -668,14 +680,14 @@ func (r *Runner) Fig2(ctx context.Context) (*stats.Table, *stats.Table, error) {
 		intT.AddRow(row...)
 	}
 
-	fpT := &stats.Table{
+	fpT := stats.Table{
 		Title:   "Figure 2 (bottom): FP operand field significance",
 		Columns: []string{"bench", "trivial(all 0/1)", "exp<=1b", "exp<=4b", "exp<=8b", "sig=0b", "sig<=16b", "sig<=32b"},
 	}
 	fpWs := suite(workloads.FP)
 	fpSigs, err := analyze(fpWs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for i, w := range fpWs {
 		s := fpSigs[i]
@@ -688,12 +700,12 @@ func (r *Runner) Fig2(ctx context.Context) (*stats.Table, *stats.Table, error) {
 			stats.Pct(s.SigBits.CumulativeFrac(16)),
 			stats.Pct(s.SigBits.CumulativeFrac(32)))
 	}
-	return intT, fpT, nil
+	return []stats.Table{intT, fpT}, nil
 }
 
 // Fig8 reproduces Figure 8: lifetime reduction under PRI and PRI+ER versus
 // the baseline, integer benchmarks, both widths.
-func (r *Runner) Fig8(ctx context.Context) (*stats.Table, error) {
+func (r *Runner) Fig8(ctx context.Context) ([]stats.Table, error) {
 	var cfgs []ooo.Config
 	for _, width := range []int{4, 8} {
 		for _, pol := range []core.Policy{core.PolicyBase, core.PolicyPRIRcCkpt, core.PolicyPRIPlusER} {
@@ -705,7 +717,7 @@ func (r *Runner) Fig8(ctx context.Context) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &stats.Table{
+	t := stats.Table{
 		Title: "Figure 8: avg register lifetime (cycles): base vs PRI(rc+ckpt) vs PRI+ER",
 		Columns: []string{"bench",
 			"base(4w)", "pri(4w)", "pri+er(4w)",
@@ -718,7 +730,7 @@ func (r *Runner) Fig8(ctx context.Context) (*stats.Table, error) {
 		}
 		t.AddRow(row...)
 	}
-	return t, nil
+	return []stats.Table{t}, nil
 }
 
 // Fig9PRs is the physical register sweep of Figure 9; its first entry (40)
@@ -726,37 +738,39 @@ func (r *Runner) Fig8(ctx context.Context) (*stats.Table, error) {
 var Fig9PRs = []int{40, 48, 56, 64, 72, 80, 96}
 
 // Fig9 reproduces Figure 9: baseline speedup versus register file size,
-// normalized to 40 registers, for every benchmark at the given width.
-func (r *Runner) Fig9(ctx context.Context, width int) (*stats.Table, error) {
-	cols := []string{"bench"}
-	var cfgs []ooo.Config
-	for _, n := range Fig9PRs {
-		cols = append(cols, fmt.Sprintf("PR=%d", n))
-		cfgs = append(cfgs, machine(width).WithPRs(n))
-	}
-	ws := workloads.All()
-	grid, err := r.sweep(ctx, ws, cfgs...)
-	if err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
-		Title:   fmt.Sprintf("Figure 9: register file sensitivity, %d-wide (speedup vs PR=40)", width),
-		Columns: cols,
-	}
-	for i, w := range ws {
-		base := grid[i][0]
-		row := []string{w.Name}
-		for _, res := range grid[i] {
-			row = append(row, stats.F(res.IPC/base.IPC, 2))
+// normalized to 40 registers, for every benchmark at each width.
+func (r *Runner) Fig9(ctx context.Context) ([]stats.Table, error) {
+	return bothWidths(func(width int) (stats.Table, error) {
+		cols := []string{"bench"}
+		var cfgs []ooo.Config
+		for _, n := range Fig9PRs {
+			cols = append(cols, fmt.Sprintf("PR=%d", n))
+			cfgs = append(cfgs, machine(width).WithPRs(n))
 		}
-		t.AddRow(row...)
-	}
-	return t, nil
+		ws := workloads.All()
+		grid, err := r.sweep(ctx, ws, cfgs...)
+		if err != nil {
+			return stats.Table{}, err
+		}
+		t := stats.Table{
+			Title:   fmt.Sprintf("Figure 9: register file sensitivity, %d-wide (speedup vs PR=40)", width),
+			Columns: cols,
+		}
+		for i, w := range ws {
+			base := grid[i][0]
+			row := []string{w.Name}
+			for _, res := range grid[i] {
+				row = append(row, stats.F(res.IPC/base.IPC, 2))
+			}
+			t.AddRow(row...)
+		}
+		return t, nil
+	})
 }
 
 // speedupTable renders Figures 10 and 12: per-benchmark IPC speedup of each
 // scheme over the baseline, plus the arithmetic mean row.
-func (r *Runner) speedupTable(ctx context.Context, class workloads.Class, width int, title string) (*stats.Table, error) {
+func (r *Runner) speedupTable(ctx context.Context, class workloads.Class, width int, title string) (stats.Table, error) {
 	cfgs := []ooo.Config{machine(width).WithPolicy(core.PolicyBase)}
 	for _, pol := range core.AllPolicies {
 		cfgs = append(cfgs, machine(width).WithPolicy(pol))
@@ -764,9 +778,9 @@ func (r *Runner) speedupTable(ctx context.Context, class workloads.Class, width 
 	ws := suite(class)
 	grid, err := r.sweep(ctx, ws, cfgs...)
 	if err != nil {
-		return nil, err
+		return stats.Table{}, err
 	}
-	t := &stats.Table{
+	t := stats.Table{
 		Title: title,
 		Columns: []string{"bench", "ER",
 			"PRI-rc-ckpt", "PRI-rc-lazy", "PRI-ideal-ckpt", "PRI-ideal-lazy",
@@ -791,48 +805,57 @@ func (r *Runner) speedupTable(ctx context.Context, class workloads.Class, width 
 	return t, nil
 }
 
-// Fig10 reproduces Figure 10: integer speedups for all seven schemes.
-func (r *Runner) Fig10(ctx context.Context, width int) (*stats.Table, error) {
-	return r.speedupTable(ctx, workloads.Int, width,
-		fmt.Sprintf("Figure 10: PRI speedup, integer benchmarks, %d-wide (IPC / base IPC)", width))
+// Fig10 reproduces Figure 10: integer speedups for all seven schemes at
+// each width.
+func (r *Runner) Fig10(ctx context.Context) ([]stats.Table, error) {
+	return bothWidths(func(width int) (stats.Table, error) {
+		return r.speedupTable(ctx, workloads.Int, width,
+			fmt.Sprintf("Figure 10: PRI speedup, integer benchmarks, %d-wide (IPC / base IPC)", width))
+	})
 }
 
-// Fig12 reproduces Figure 12: floating-point speedups for all seven schemes.
-func (r *Runner) Fig12(ctx context.Context, width int) (*stats.Table, error) {
-	return r.speedupTable(ctx, workloads.FP, width,
-		fmt.Sprintf("Figure 12: PRI speedup, floating point benchmarks, %d-wide (IPC / base IPC)", width))
+// Fig12 reproduces Figure 12: floating-point speedups for all seven schemes
+// at each width.
+func (r *Runner) Fig12(ctx context.Context) ([]stats.Table, error) {
+	return bothWidths(func(width int) (stats.Table, error) {
+		return r.speedupTable(ctx, workloads.FP, width,
+			fmt.Sprintf("Figure 12: PRI speedup, floating point benchmarks, %d-wide (IPC / base IPC)", width))
+	})
 }
 
 // Fig11 reproduces Figure 11: average physical register file occupancy for
-// base, ER, PRI, and PRI+ER on the integer benchmarks.
-func (r *Runner) Fig11(ctx context.Context, width int) (*stats.Table, error) {
-	var cfgs []ooo.Config
-	for _, pol := range []core.Policy{core.PolicyBase, core.PolicyER, core.PolicyPRIRcCkpt, core.PolicyPRIPlusER} {
-		cfgs = append(cfgs, machine(width).WithPolicy(pol))
-	}
-	ws := suite(workloads.Int)
-	grid, err := r.sweep(ctx, ws, cfgs...)
-	if err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
-		Title:   fmt.Sprintf("Figure 11: avg integer PRF occupancy, %d-wide", width),
-		Columns: []string{"bench", "base", "ER", "PRI", "PRI+ER"},
-	}
-	for i, w := range ws {
-		row := []string{w.Name}
-		for _, res := range grid[i] {
-			row = append(row, stats.F(res.IntOccupancy, 1))
+// base, ER, PRI, and PRI+ER on the integer benchmarks at each width.
+func (r *Runner) Fig11(ctx context.Context) ([]stats.Table, error) {
+	return bothWidths(func(width int) (stats.Table, error) {
+		var cfgs []ooo.Config
+		for _, pol := range []core.Policy{core.PolicyBase, core.PolicyER, core.PolicyPRIRcCkpt, core.PolicyPRIPlusER} {
+			cfgs = append(cfgs, machine(width).WithPolicy(pol))
 		}
-		t.AddRow(row...)
-	}
-	return t, nil
+		ws := suite(workloads.Int)
+		grid, err := r.sweep(ctx, ws, cfgs...)
+		if err != nil {
+			return stats.Table{}, err
+		}
+		t := stats.Table{
+			Title:   fmt.Sprintf("Figure 11: avg integer PRF occupancy, %d-wide", width),
+			Columns: []string{"bench", "base", "ER", "PRI", "PRI+ER"},
+		}
+		for i, w := range ws {
+			row := []string{w.Name}
+			for _, res := range grid[i] {
+				row = append(row, stats.F(res.IntOccupancy, 1))
+			}
+			t.AddRow(row...)
+		}
+		return t, nil
+	})
 }
 
 // AblationRenameInline compares PRI with and without the Section 6
-// future-work extension (rename-time inlining of narrow load-immediates).
-func (r *Runner) AblationRenameInline(ctx context.Context, width int) (*stats.Table, error) {
-	cfg := machine(width).WithPolicy(core.PolicyPRIRcCkpt)
+// future-work extension (rename-time inlining of narrow load-immediates) on
+// the 4-wide machine.
+func (r *Runner) AblationRenameInline(ctx context.Context) ([]stats.Table, error) {
+	cfg := machine(4).WithPolicy(core.PolicyPRIRcCkpt)
 	extCfg := cfg
 	extCfg.InlineAtRename = true
 	ws := suite(workloads.Int)
@@ -840,8 +863,8 @@ func (r *Runner) AblationRenameInline(ctx context.Context, width int) (*stats.Ta
 	if err != nil {
 		return nil, err
 	}
-	t := &stats.Table{
-		Title:   fmt.Sprintf("Ablation: rename-time inlining extension, %d-wide", width),
+	t := stats.Table{
+		Title:   "Ablation: rename-time inlining extension, 4-wide",
 		Columns: []string{"bench", "PRI IPC", "PRI+renameInline IPC", "gain"},
 	}
 	for i, w := range ws {
@@ -849,17 +872,17 @@ func (r *Runner) AblationRenameInline(ctx context.Context, width int) (*stats.Ta
 		t.AddRow(w.Name, stats.F(basePRI.IPC, 3), stats.F(ext.IPC, 3),
 			stats.F(ext.IPC/basePRI.IPC, 3))
 	}
-	return t, nil
+	return []stats.Table{t}, nil
 }
 
 // AblationDelayedAllocation explores the paper's Section 6 virtual-physical
-// direction: baseline vs delayed register allocation vs delayed allocation
-// combined with PRI, at the Table 1 register file size.
-func (r *Runner) AblationDelayedAllocation(ctx context.Context, width int) (*stats.Table, error) {
+// direction on the 4-wide machine: baseline vs delayed register allocation
+// vs delayed allocation combined with PRI.
+func (r *Runner) AblationDelayedAllocation(ctx context.Context) ([]stats.Table, error) {
 	// A 40-register file keeps the writeback gate engaged so the
 	// PRI interaction is visible (at 64 registers the gate rarely binds).
 	const prs = 40
-	cfgB := machine(width).WithPRs(prs)
+	cfgB := machine(4).WithPRs(prs)
 	cfgD := cfgB
 	cfgD.DelayedAllocation = true
 	cfgDP := cfgD.WithPolicy(core.PolicyPRIRcLazy)
@@ -868,76 +891,77 @@ func (r *Runner) AblationDelayedAllocation(ctx context.Context, width int) (*sta
 	if err != nil {
 		return nil, err
 	}
-	t := &stats.Table{
-		Title:   fmt.Sprintf("Ablation: virtual-physical delayed allocation, %d-wide, %d PRs", width, prs),
+	t := stats.Table{
+		Title:   fmt.Sprintf("Ablation: virtual-physical delayed allocation, 4-wide, %d PRs", prs),
 		Columns: []string{"bench", "base IPC", "delayed IPC", "delayed+PRI IPC"},
 	}
 	for i, w := range ws {
 		base, delayed, both := grid[i][0], grid[i][1], grid[i][2]
 		t.AddRow(w.Name, stats.F(base.IPC, 3), stats.F(delayed.IPC, 3), stats.F(both.IPC, 3))
 	}
-	return t, nil
+	return []stats.Table{t}, nil
 }
 
-// AblationMSHR bounds memory-level parallelism: the default model overlaps
-// misses without limit (as sim-outorder does); this table shows how much of
-// the memory-bound benchmarks' throughput that assumption is worth.
-func (r *Runner) AblationMSHR(ctx context.Context, width int) (*stats.Table, error) {
-	cfg8 := machine(width)
+// AblationMSHR bounds memory-level parallelism on the 4-wide machine: the
+// default model overlaps misses without limit (as sim-outorder does); this
+// table shows how much of the memory-bound benchmarks' throughput that
+// assumption is worth.
+func (r *Runner) AblationMSHR(ctx context.Context) ([]stats.Table, error) {
+	cfg8 := machine(4)
 	cfg8.Mem.MSHRs = 8
-	cfg2 := machine(width)
+	cfg2 := machine(4)
 	cfg2.Mem.MSHRs = 2
 	ws := suite(workloads.Int)
-	grid, err := r.sweep(ctx, ws, machine(width), cfg8, cfg2)
+	grid, err := r.sweep(ctx, ws, machine(4), cfg8, cfg2)
 	if err != nil {
 		return nil, err
 	}
-	t := &stats.Table{
-		Title:   fmt.Sprintf("Ablation: MSHR-bounded miss overlap, %d-wide baseline", width),
+	t := stats.Table{
+		Title:   "Ablation: MSHR-bounded miss overlap, 4-wide baseline",
 		Columns: []string{"bench", "unlimited IPC", "8 MSHRs", "2 MSHRs"},
 	}
 	for i, w := range ws {
 		unlimited, m8, m2 := grid[i][0], grid[i][1], grid[i][2]
 		t.AddRow(w.Name, stats.F(unlimited.IPC, 3), stats.F(m8.IPC, 3), stats.F(m2.IPC, 3))
 	}
-	return t, nil
+	return []stats.Table{t}, nil
 }
 
 // AblationPrefetch adds an idealized next-line data prefetcher to the
-// baseline: it shows how much of the streaming benchmarks' miss cost the
-// Table 1 machine (which has none) leaves on the table.
-func (r *Runner) AblationPrefetch(ctx context.Context, width int) (*stats.Table, error) {
-	pfCfg := machine(width)
+// 4-wide baseline: it shows how much of the streaming benchmarks' miss cost
+// the Table 1 machine (which has none) leaves on the table.
+func (r *Runner) AblationPrefetch(ctx context.Context) ([]stats.Table, error) {
+	pfCfg := machine(4)
 	pfCfg.Mem.NextLinePrefetch = true
 	ws := suite(workloads.Int)
-	grid, err := r.sweep(ctx, ws, machine(width), pfCfg)
+	grid, err := r.sweep(ctx, ws, machine(4), pfCfg)
 	if err != nil {
 		return nil, err
 	}
-	t := &stats.Table{
-		Title:   fmt.Sprintf("Ablation: next-line data prefetch, %d-wide baseline", width),
+	t := stats.Table{
+		Title:   "Ablation: next-line data prefetch, 4-wide baseline",
 		Columns: []string{"bench", "no-prefetch IPC", "prefetch IPC", "gain"},
 	}
 	for i, w := range ws {
 		base, pf := grid[i][0], grid[i][1]
 		t.AddRow(w.Name, stats.F(base.IPC, 3), stats.F(pf.IPC, 3), stats.F(pf.IPC/base.IPC, 3))
 	}
-	return t, nil
+	return []stats.Table{t}, nil
 }
 
 // AblationDisambiguation compares oracle and conservative memory
-// disambiguation on the baseline machine (a documented model choice).
-func (r *Runner) AblationDisambiguation(ctx context.Context, width int) (*stats.Table, error) {
-	consCfg := machine(width)
+// disambiguation on the 4-wide baseline machine (a documented model choice).
+func (r *Runner) AblationDisambiguation(ctx context.Context) ([]stats.Table, error) {
+	consCfg := machine(4)
 	consCfg.ConservativeDisambiguation = true
 	consCfg.Name = consCfg.Name + "-consv"
 	ws := suite(workloads.Int)
-	grid, err := r.sweep(ctx, ws, machine(width), consCfg)
+	grid, err := r.sweep(ctx, ws, machine(4), consCfg)
 	if err != nil {
 		return nil, err
 	}
-	t := &stats.Table{
-		Title:   fmt.Sprintf("Ablation: memory disambiguation, %d-wide baseline", width),
+	t := stats.Table{
+		Title:   "Ablation: memory disambiguation, 4-wide baseline",
 		Columns: []string{"bench", "oracle IPC", "conservative IPC", "ratio"},
 	}
 	for i, w := range ws {
@@ -945,5 +969,5 @@ func (r *Runner) AblationDisambiguation(ctx context.Context, width int) (*stats.
 		t.AddRow(w.Name, stats.F(oracle.IPC, 3), stats.F(cons.IPC, 3),
 			stats.F(cons.IPC/oracle.IPC, 3))
 	}
-	return t, nil
+	return []stats.Table{t}, nil
 }

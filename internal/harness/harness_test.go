@@ -18,6 +18,22 @@ var tinyBudget = Budget{FastForward: 500, Run: 4000}
 
 var bg = context.Background()
 
+// NewRunner returns a Runner with the given budget (zero fields take the
+// defaults) and a worker pool sized by GOMAXPROCS.
+func NewRunner(b Budget) *Runner { return NewParallelRunner(b, 0) }
+
+// Run simulates one benchmark on one machine configuration, memoized. It is
+// the context-free form of RunCtx and never fails.
+func (r *Runner) Run(w workloads.Workload, cfg ooo.Config) *Result {
+	res, err := r.RunCtx(context.Background(), w, cfg)
+	if err != nil {
+		// Unreachable: a background context cannot be cancelled, and RunCtx
+		// retries flights that a sibling's cancelled context tore down.
+		panic("harness: Run failed: " + err.Error())
+	}
+	return res
+}
+
 func TestRunnerCaching(t *testing.T) {
 	r := NewRunner(tinyBudget)
 	w, _ := workloads.ByName("gzip")
@@ -249,9 +265,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.String() != parallel.String() {
+	if serial[0].String() != parallel[0].String() {
 		t.Errorf("parallel fig8 differs from serial:\n--- serial ---\n%s--- parallel ---\n%s",
-			serial.String(), parallel.String())
+			serial[0].String(), parallel[0].String())
 	}
 }
 
@@ -266,24 +282,6 @@ func TestColdFig8LooksUpEachPointOnce(t *testing.T) {
 	}
 	if cs := r.CacheStats(); cs.Executed != 78 || cs.Hits != 0 {
 		t.Errorf("cold fig8 CacheStats = %+v, want Executed 78 and Hits 0", cs)
-	}
-}
-
-func TestProgressCallback(t *testing.T) {
-	r := NewRunner(tinyBudget)
-	var mu sync.Mutex
-	var dones []int
-	r.OnProgress(func(done, total int) {
-		mu.Lock()
-		dones = append(dones, done)
-		mu.Unlock()
-	})
-	w, _ := workloads.ByName("gzip")
-	r.Run(w, ooo.Width4())
-	r.Run(w, ooo.Width4()) // cache hit: no callback
-	r.Run(w, ooo.Width8())
-	if len(dones) != 2 {
-		t.Fatalf("progress callback fired %d times, want 2", len(dones))
 	}
 }
 
@@ -318,7 +316,11 @@ func TestRunProgram(t *testing.T) {
 }
 
 func TestTable1Static(t *testing.T) {
-	out := Table1().String()
+	tables, err := NewRunner(tinyBudget).Table1(bg)
+	if err != nil || len(tables) != 1 {
+		t.Fatalf("table1: %d tables, err %v", len(tables), err)
+	}
+	out := tables[0].String()
 	for _, want := range []string{"ROB", "512", "scheduler", "32"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table 1 missing %q:\n%s", want, out)
@@ -328,10 +330,11 @@ func TestTable1Static(t *testing.T) {
 
 func TestFig2Shapes(t *testing.T) {
 	r := NewRunner(tinyBudget)
-	intT, fpT, err := r.Fig2(bg)
+	tables, err := r.Fig2(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	intT, fpT := tables[0], tables[1]
 	if len(intT.Rows) != 13 || len(fpT.Rows) != 14 {
 		t.Errorf("fig2 rows: %d int, %d fp", len(intT.Rows), len(fpT.Rows))
 	}
@@ -348,20 +351,25 @@ func TestSpeedupTableShape(t *testing.T) {
 		t.Skip("long")
 	}
 	r := NewRunner(Budget{FastForward: 500, Run: 2500})
-	// Restrict to a subset by running the full Fig10 at a tiny budget.
-	tb, err := r.Fig10(bg, 4)
+	// Run the full Fig10, both widths, at a tiny budget.
+	tables, err := r.Fig10(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 14 { // 13 benchmarks + average
-		t.Fatalf("fig10 rows = %d", len(tb.Rows))
+	if len(tables) != 2 || !strings.Contains(tables[0].Title, "4-wide") || !strings.Contains(tables[1].Title, "8-wide") {
+		t.Fatalf("fig10 tables = %d, want the 4-wide then the 8-wide table", len(tables))
 	}
-	last := tb.Rows[len(tb.Rows)-1]
-	if last[0] != "average" {
-		t.Errorf("last row = %v", last[0])
-	}
-	if len(tb.Columns) != 8 {
-		t.Errorf("fig10 columns = %d", len(tb.Columns))
+	for _, tb := range tables {
+		if len(tb.Rows) != 14 { // 13 benchmarks + average
+			t.Fatalf("fig10 rows = %d", len(tb.Rows))
+		}
+		last := tb.Rows[len(tb.Rows)-1]
+		if last[0] != "average" {
+			t.Errorf("last row = %v", last[0])
+		}
+		if len(tb.Columns) != 8 {
+			t.Errorf("fig10 columns = %d", len(tb.Columns))
+		}
 	}
 }
 
@@ -370,16 +378,18 @@ func TestFig9Normalization(t *testing.T) {
 		t.Skip("long")
 	}
 	r := NewRunner(Budget{FastForward: 200, Run: 1500})
-	tb, err := r.Fig9(bg, 4)
+	tables, err := r.Fig9(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 27 {
-		t.Fatalf("fig9 rows = %d", len(tb.Rows))
-	}
-	for _, row := range tb.Rows {
-		if row[1] != "1.00" {
-			t.Errorf("%s: PR=40 column = %s, want 1.00", row[0], row[1])
+	for _, tb := range tables {
+		if len(tb.Rows) != 27 {
+			t.Fatalf("fig9 rows = %d", len(tb.Rows))
+		}
+		for _, row := range tb.Rows {
+			if row[1] != "1.00" {
+				t.Errorf("%s: PR=40 column = %s, want 1.00", row[0], row[1])
+			}
 		}
 	}
 }

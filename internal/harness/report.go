@@ -8,7 +8,6 @@ import (
 
 	"prisim/internal/core"
 	"prisim/internal/ooo"
-	"prisim/internal/stats"
 	"prisim/internal/workloads"
 )
 
@@ -138,41 +137,17 @@ func (r *Runner) WriteReport(ctx context.Context, w io.Writer) error {
 	fmt.Fprintf(w, "# prisim experiment report\n\n")
 	fmt.Fprintf(w, "Budget: %d fast-forward + %d measured instructions per point.\n\n",
 		r.Budget.FastForward, r.Budget.Run)
-
-	section := func(tables ...*stats.Table) {
+	for _, e := range Experiments {
+		if e.Name == "ablation-prefetch" {
+			continue // the report's pinned digest has never covered this ablation
+		}
+		tables, err := e.Tables(r, ctx)
+		if err != nil {
+			return err
+		}
 		for _, t := range tables {
 			fmt.Fprintf(w, "```\n%s```\n\n", t.String())
 		}
-	}
-	var firstErr error
-	get := func(t *stats.Table, err error) *stats.Table {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if t == nil {
-			t = &stats.Table{}
-		}
-		return t
-	}
-	section(Table1())
-	section(get(r.Table2(ctx)))
-	section(get(r.Fig1(ctx)))
-	a, b, err := r.Fig2(ctx)
-	if err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if a != nil && b != nil {
-		section(a, b)
-	}
-	section(get(r.Fig8(ctx)))
-	section(get(r.Fig9(ctx, 4)), get(r.Fig9(ctx, 8)))
-	section(get(r.Fig10(ctx, 4)), get(r.Fig10(ctx, 8)))
-	section(get(r.Fig11(ctx, 4)), get(r.Fig11(ctx, 8)))
-	section(get(r.Fig12(ctx, 4)), get(r.Fig12(ctx, 8)))
-	section(get(r.AblationRenameInline(ctx, 4)), get(r.AblationDisambiguation(ctx, 4)),
-		get(r.AblationDelayedAllocation(ctx, 4)), get(r.AblationMSHR(ctx, 4)))
-	if firstErr != nil {
-		return firstErr
 	}
 
 	fmt.Fprintf(w, "## Shape checklist\n\n")

@@ -55,7 +55,7 @@ func (s *shared) snapHitLocked(sn *snapshot, _ bool) {
 // snapLandedLocked counts a finished build and, unless SetSnapshots(false)
 // dropped its entry mid-build, accounts it as resident and evicts down to
 // maxSnapshots.
-func (s *shared) snapLandedLocked(sn *snapshot, resident bool) func() {
+func (s *shared) snapLandedLocked(sn *snapshot, resident bool) {
 	s.snapBuilds++
 	if resident {
 		s.snapClock++
@@ -63,7 +63,6 @@ func (s *shared) snapLandedLocked(sn *snapshot, resident bool) func() {
 		s.snapBytes += sn.w.Bytes()
 		s.evictSnapshotsLocked()
 	}
-	return nil
 }
 
 // snapshotKey derives the cache key for one run: the workload plus every

@@ -163,11 +163,11 @@ func TestSnapshotEvictionBound(t *testing.T) {
 func TestSnapshotGoldenFig8(t *testing.T) {
 	r := NewParallelRunner(goldenBudget, 4)
 	r.SetSnapshots(true)
-	tbl, err := r.Fig8(context.Background())
+	tables, err := r.Fig8(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sha(tbl.String()); got != goldenFig8Hash {
+	if got := sha(tables[0].String()); got != goldenFig8Hash {
 		t.Errorf("fig8 table with snapshots diverged from golden hash:\ngot  %s\nwant %s", got, goldenFig8Hash)
 	}
 	if st := r.CacheStats(); st.SnapshotHits == 0 {

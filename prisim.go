@@ -26,6 +26,7 @@ import (
 	"io"
 
 	"prisim/internal/core"
+	"prisim/internal/harness"
 	"prisim/internal/workloads"
 )
 
@@ -74,8 +75,8 @@ func (p Policy) IsPRI() bool {
 // schema (prisimclient.CacheKeyFor), so they are exported constants rather
 // than tunables.
 const (
-	DefaultFastForward = 20_000
-	DefaultRun         = 80_000
+	DefaultFastForward = harness.DefaultFastForward
+	DefaultRun         = harness.DefaultRun
 )
 
 // Options selects a simulation point.
@@ -114,38 +115,11 @@ type Options struct {
 	PipeView io.Writer
 }
 
-// Result summarizes one simulation.
-type Result struct {
-	Benchmark string
-	Machine   string // machine configuration name ("4wide" / "8wide")
-	IntPRs    int    // integer physical register file size simulated
-	FPPRs     int    // floating-point physical register file size simulated
-
-	IPC       float64
-	Cycles    uint64
-	Committed uint64
-
-	IntOccupancy float64 // mean allocated integer physical registers
-	FPOccupancy  float64
-
-	// Register lifetime phases (cycles, averaged per released register of
-	// the benchmark's dominant class).
-	AllocToWrite, WriteToRead, ReadToRelease float64
-
-	InlineFraction float64 // source operands served from inlined map entries
-	MispredictRate float64
-	BranchResolved uint64
-	DL1MissRate    float64
-	L2MissRate     float64
-	Replays        uint64 // scheduler latency mis-speculation replays
-
-	// PRI activity counters for the benchmark's dominant register class
-	// (zero under non-PRI policies; see Policy.IsPRI).
-	InlinedResults uint64
-	WAWSuppressed  uint64
-	DeferredFrees  uint64
-	EarlyFrees     uint64
-}
+// Result summarizes one simulation: the machine simulated, IPC and cycle
+// counts, register occupancy and lifetime phases, cache and predictor
+// rates, and the PRI activity counters of the benchmark's dominant
+// register class (zero under non-PRI policies; see Policy.IsPRI).
+type Result = harness.Result
 
 // Benchmark describes one available workload.
 type Benchmark struct {
