@@ -23,8 +23,9 @@ type job struct {
 	imageHash string
 	warnings  []prisimclient.Diagnostic // priscan warning findings
 
-	ctx    context.Context    // derived from the server's root context
-	cancel context.CancelFunc // DELETE and drain-deadline both land here
+	ctx    context.Context        // derived from the server's root context
+	cancel context.CancelFunc     // DELETE and drain-deadline both land here
+	settle func(prisimclient.Job) // set at submit, immutable after; records the terminal state
 
 	mu         sync.Mutex
 	state      prisimclient.JobState                // guarded by mu
@@ -141,7 +142,9 @@ func (j *job) start(now time.Time) bool {
 }
 
 // finish moves the job to a terminal state exactly once; later calls are
-// ignored (e.g. a cancel racing the worker's own completion).
+// ignored (e.g. a cancel racing the worker's own completion). The settle
+// hook runs before the lock is released, so the terminal state is recorded
+// before any reader can see it.
 func (j *job) finish(state prisimclient.JobState, errMsg string, now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -151,6 +154,9 @@ func (j *job) finish(state prisimclient.JobState, errMsg string, now time.Time) 
 	j.state = state
 	j.errMsg = errMsg
 	j.finished = now
+	if j.settle != nil {
+		j.settle(j.viewLocked())
+	}
 	j.publishLocked(j.eventLocked("state"))
 	close(j.doneCh)
 	return true

@@ -314,6 +314,7 @@ func (s *Server) Submit(req prisimclient.JobRequest) (*job, error) {
 	s.nextID++
 	id := fmt.Sprintf("job-%d", s.nextID)
 	j := newJob(id, req, s.rootCtx, time.Now())
+	j.settle = s.settle
 	j.cacheKey = cacheKey
 	j.imageHash = imageHash
 	if checked != nil {
@@ -454,8 +455,9 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one job with panic isolation: a panicking simulation
-// fails the job, not the process.
+// runJob executes one job and finishes it. The job leaves the running
+// count before it is finished, so a client that sees it finished never
+// finds it still counted as running.
 func (s *Server) runJob(j *job) {
 	// Take the image now so no settled job, whatever its outcome, holds one.
 	prog := j.prog
@@ -464,21 +466,27 @@ func (s *Server) runJob(j *job) {
 		// Cancelled while queued (requestCancel already resolved it), or
 		// the server is shutting down hard.
 		j.finish(prisimclient.StateCancelled, "cancelled while queued", time.Now())
-		s.settle(j)
 		return
 	}
 	s.mu.Lock()
 	s.running++
 	s.mu.Unlock()
+	state, errMsg := s.execute(j, prog)
+	s.mu.Lock()
+	s.running--
+	s.mu.Unlock()
+	j.finish(state, errMsg, time.Now())
+}
+
+// execute runs a started job and returns the terminal state it reached,
+// with panic isolation: a panicking simulation fails the job, not the
+// process.
+func (s *Server) execute(j *job, prog *asm.Program) (state prisimclient.JobState, errMsg string) {
 	defer func() {
-		s.mu.Lock()
-		s.running--
-		s.mu.Unlock()
 		if p := recover(); p != nil {
 			s.metrics.incPanics()
 			s.logf("job=%s panic=%v\n%s", j.id, p, debug.Stack())
-			j.finish(prisimclient.StateFailed, fmt.Sprintf("internal error: panic: %v", p), time.Now())
-			s.settle(j)
+			state, errMsg = prisimclient.StateFailed, fmt.Sprintf("internal error: panic: %v", p)
 		}
 	}()
 
@@ -520,22 +528,19 @@ func (s *Server) runJob(j *job) {
 		err = fmt.Errorf("unknown job kind %q", j.req.Kind)
 	}
 
-	now := time.Now()
 	switch {
 	case err == nil:
-		j.finish(prisimclient.StateDone, "", now)
+		return prisimclient.StateDone, ""
 	case errors.Is(err, context.DeadlineExceeded):
-		j.finish(prisimclient.StateFailed, fmt.Sprintf("job exceeded timeout %s", s.cfg.JobTimeout), now)
+		return prisimclient.StateFailed, fmt.Sprintf("job exceeded timeout %s", s.cfg.JobTimeout)
 	case errors.Is(err, context.Canceled):
-		reason := "cancelled"
 		if !j.cancelRequested() {
-			reason = "cancelled by server shutdown"
+			return prisimclient.StateCancelled, "cancelled by server shutdown"
 		}
-		j.finish(prisimclient.StateCancelled, reason, now)
+		return prisimclient.StateCancelled, "cancelled"
 	default:
-		j.finish(prisimclient.StateFailed, err.Error(), now)
+		return prisimclient.StateFailed, err.Error()
 	}
-	s.settle(j)
 }
 
 // resolve produces a keyed job's result, the one store path for simulate
@@ -575,14 +580,11 @@ func (s *Server) resolve(j *job, run func() (prisim.ProgramResult, error)) error
 	return nil
 }
 
-// settle records terminal-state metrics and the job log line once.
-func (s *Server) settle(j *job) {
-	v := j.view()
-	if !v.State.Terminal() {
-		return
-	}
+// settle records a finished job's terminal-state metrics and log line. The
+// job calls it once, as it finishes, before the terminal state is visible.
+func (s *Server) settle(v prisimclient.Job) {
 	s.metrics.observeTerminal(v.State, v.Finished.Sub(v.Created))
-	s.logf("job=%s state=%s latency=%s error=%q", j.id, v.State, v.Finished.Sub(v.Created).Round(time.Millisecond), v.Error)
+	s.logf("job=%s state=%s latency=%s error=%q", v.ID, v.State, v.Finished.Sub(v.Created).Round(time.Millisecond), v.Error)
 }
 
 // Draining reports whether Drain/Close has begun (readyz turns 503).
