@@ -8,12 +8,10 @@
 //	prias -run prog.s        # assemble and execute functionally
 //	prias -time prog.s       # assemble and run on the 4-wide timing model
 //	prias -o img.json prog.s # assemble and write the image as JSON
-//	prias -lint prog.s       # assemble and run the priscan static analyzers
 //
 // Assembly failures print every diagnostic, one per line, as
-// file:line:col: message, and exit 2. With -lint, analyzer findings print
-// the same way: exit 0 when clean, 1 when only warnings were found and
-// -Werror is set, 2 on provable errors (the cmd/priscan convention).
+// file:line:col: message, and exit 2. cmd/priscan runs the static
+// analyzers over a source file.
 package main
 
 import (
@@ -28,7 +26,6 @@ import (
 
 	"prisim"
 	"prisim/internal/asm"
-	"prisim/internal/asm/analysis"
 	"prisim/internal/emu"
 	"prisim/internal/trace"
 )
@@ -99,8 +96,6 @@ func main() {
 	mix := flag.Bool("mix", false, "print the instruction mix after a functional run")
 	out := flag.String("o", "", "write the assembled image to this file as JSON")
 	limit := flag.Uint64("limit", 100_000_000, "instruction limit")
-	lint := flag.Bool("lint", false, "run the priscan static analyzers over the assembled program")
-	werror := flag.Bool("Werror", false, "with -lint, exit 1 when any warning is reported")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -118,20 +113,6 @@ func main() {
 	prog, err := asm.AssembleFile(flag.Arg(0), string(src))
 	if err != nil {
 		assemblyFatal(err)
-	}
-	if *lint {
-		rep := analysis.Analyze(prog, analysis.Options{})
-		diags := rep.Diagnostics(prog, flag.Arg(0), string(src))
-		for _, d := range diags {
-			fmt.Fprintln(os.Stderr, d)
-		}
-		s := rep.Inlinability
-		fmt.Printf("%s: %d instructions, %d loops, %d/%d defs provably narrow (%d-bit), %d wide, %d unknown\n",
-			flag.Arg(0), len(prog.Code), len(rep.Loops), s.Narrow, s.Defs, s.NarrowBits, s.Wide, s.Unknown)
-		if code := analysis.ExitCode(diags, *werror); code != 0 {
-			os.Exit(code)
-		}
-		return
 	}
 	if *out != "" {
 		if err := writeImage(*out, prog); err != nil {

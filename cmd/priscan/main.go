@@ -14,8 +14,7 @@
 // positions, print by instruction address instead); a one-line
 // inlinability summary per program prints to stdout. Exit status is 0
 // when every program is clean, 1 when only warnings were found and
-// -Werror is set, 2 on provable errors, bad usage, or assembly failure —
-// the same convention as prias -lint.
+// -Werror is set, 2 on provable errors, bad usage, or assembly failure.
 package main
 
 import (

@@ -351,7 +351,7 @@ func submitMatrix(ctx context.Context, c *prisimclient.Client, args []string) er
 // checkProgram assemble-checks a source file on the server without
 // running it: the image identity and inlinability summary print as JSON
 // on stdout, priscan warnings print with carets on stderr. Exit status
-// follows the prias -lint convention: 0 clean, 1 when warnings were
+// follows the priscan convention: 0 clean, 1 when warnings were
 // reported and -Werror is set, 2 when the server rejected the program
 // (assembly failure or a provable static-analysis error — both 422 with
 // positioned diagnostics, rendered by fatal).
