@@ -25,7 +25,7 @@ type job struct {
 
 	ctx    context.Context        // derived from the server's root context
 	cancel context.CancelFunc     // DELETE and drain-deadline both land here
-	settle func(prisimclient.Job) // set at submit, immutable after; records the terminal state
+	settle func(prisimclient.Job) // set at submit, immutable after; records the terminal state, called with mu held
 
 	mu         sync.Mutex
 	state      prisimclient.JobState                // guarded by mu

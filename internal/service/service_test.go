@@ -502,6 +502,55 @@ func TestMetricsPage(t *testing.T) {
 	}
 }
 
+// TestCancelledQueuedJobCountedOnce pins that DELETE of a queued job counts
+// it in /metrics before the DELETE returns, and that the worker that later
+// pops the cancelled job does not count it again.
+func TestCancelledQueuedJobCountedOnce(t *testing.T) {
+	_, c := boot(t, Config{Workers: 1})
+	cancelled := func() float64 {
+		t.Helper()
+		page, err := c.Metrics(bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return metricValue(t, page, `prisimd_jobs_total{state="cancelled"}`)
+	}
+	running, err := c.Submit(bg, prisimclient.JobRequest{
+		Kind: prisimclient.KindSimulate, Benchmark: "mcf",
+		FastForward: 100, Run: 500_000_000, // effectively forever; cancelled below
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c, running.ID, prisimclient.StateRunning)
+	small := prisimclient.JobRequest{Kind: prisimclient.KindSimulate, Benchmark: "gzip", FastForward: 100, Run: 1000}
+	queued, err := c.Submit(bg, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err := c.Cancel(bg, queued.ID); err != nil || j.State != prisimclient.StateCancelled {
+		t.Fatalf("cancel queued job: %v, %v", j, err)
+	}
+	if v := cancelled(); v != 1 {
+		t.Errorf("cancelled jobs = %v right after DELETE of a queued job, want 1", v)
+	}
+
+	// Free the worker; it pops the cancelled job before the last one.
+	if _, err := c.Cancel(bg, running.ID); err != nil {
+		t.Fatal(err)
+	}
+	last, err := c.Submit(bg, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(bg, last.ID, 0); err != nil {
+		t.Fatal(err)
+	}
+	if v := cancelled(); v != 2 {
+		t.Errorf("cancelled jobs = %v after the worker drained the queue, want 2", v)
+	}
+}
+
 // TestListAndVersionEndpoints covers the small read-only endpoints.
 func TestListAndVersionEndpoints(t *testing.T) {
 	_, c := boot(t, Config{Workers: 1})
