@@ -20,8 +20,8 @@ import (
 )
 
 // experimentRows is each experiment's row count per table, in table order:
-// 27 workloads, 13 integer or 14 floating-point ones, plus an average row
-// in Figures 10 and 12.
+// Table 1's 15 machine parameters, then one row per workload (27, or 13
+// integer, or 14 floating-point) plus an average row in Figures 10 and 12.
 var experimentRows = map[string][]int{
 	"table1": {15}, "table2": {27}, "fig1": {13}, "fig2": {13, 14}, "fig8": {13},
 	"fig9": {27, 27}, "fig10": {14, 14}, "fig11": {13, 13}, "fig12": {15, 15},

@@ -1,7 +1,8 @@
 // Package harness drives the experiments that regenerate every table and
-// figure in the paper's evaluation (Tables 1-2, Figures 1-2 and 8-12). Each
-// experiment returns a stats.Table whose rows mirror the series the paper
-// plots; EXPERIMENTS.md records the paper-vs-measured comparison.
+// figure in the paper's evaluation (Tables 1-2, Figures 1-2 and 8-12), plus
+// five ablations. Experiments lists them in canonical order; each returns
+// stats.Tables whose rows mirror the series the paper plots.
+// EXPERIMENTS.md records the paper-vs-measured comparison.
 //
 // The run matrix behind those tables — 27 workloads x 8 release policies x
 // 2 machine widths x a register-count axis — is embarrassingly parallel, so
