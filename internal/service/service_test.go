@@ -1,8 +1,11 @@
 package service
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"runtime"
@@ -276,6 +279,95 @@ func TestSSEStream(t *testing.T) {
 	}
 	if progress == 0 {
 		t.Error("stream delivered no progress events")
+	}
+}
+
+// readEvents reads a job's raw event stream until the server closes it and
+// returns the events in arrival order. Each event's SSE name must match the
+// type inside its payload.
+func readEvents(t *testing.T, base, id string) []prisimclient.Event {
+	t.Helper()
+	resp, err := http.Get(base + "/api/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET events: status %d", resp.StatusCode)
+	}
+	var evs []prisimclient.Event
+	var name, data string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			name = strings.TrimPrefix(line, "event: ")
+		case strings.HasPrefix(line, "data: "):
+			data = strings.TrimPrefix(line, "data: ")
+		case line == "" && data != "":
+			var ev prisimclient.Event
+			if err := json.Unmarshal([]byte(data), &ev); err != nil {
+				t.Fatalf("bad event payload %q: %v", data, err)
+			}
+			if ev.Type != name {
+				t.Errorf("event named %q carries type %q", name, ev.Type)
+			}
+			evs = append(evs, ev)
+			name, data = "", ""
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return evs
+}
+
+// TestStreamEventOrder reads a job's event stream to its end and pins its
+// order: a state event first, every event naming the job, and exactly one
+// terminal event, a state event, last. A stream opened on the finished job
+// gets the done state alone.
+func TestStreamEventOrder(t *testing.T) {
+	srv := New(Config{Workers: 2})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		ts.Close()
+	})
+	j, err := prisimclient.NewClient(ts.URL).Submit(bg, prisimclient.JobRequest{
+		Kind: prisimclient.KindExperiment, Experiment: "fig1",
+		FastForward: tinyFF, Run: tinyRun,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := readEvents(t, ts.URL, j.ID)
+	if len(evs) == 0 {
+		t.Fatal("stream carried no events")
+	}
+	if evs[0].Type != "state" {
+		t.Errorf("first event type = %q, want state", evs[0].Type)
+	}
+	terminal := 0
+	for i, ev := range evs {
+		if ev.JobID != j.ID {
+			t.Errorf("event %d names job %q, want %q", i, ev.JobID, j.ID)
+		}
+		if !ev.State.Terminal() {
+			continue
+		}
+		terminal++
+		if ev.Type != "state" || ev.State != prisimclient.StateDone || i != len(evs)-1 {
+			t.Errorf("terminal event %d of %d = %+v, want the last event, a done state", i+1, len(evs), ev)
+		}
+	}
+	if terminal != 1 {
+		t.Errorf("stream carried %d terminal events, want 1: %+v", terminal, evs)
+	}
+
+	again := readEvents(t, ts.URL, j.ID)
+	if len(again) != 1 || again[0].Type != "state" || again[0].State != prisimclient.StateDone {
+		t.Errorf("stream of the finished job = %+v, want one done state event", again)
 	}
 }
 
