@@ -23,15 +23,17 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem ./...
 
-# fuzz is the frontend fuzz smoke CI runs on every push: the lexer/parser
-# must never panic and every failure must carry positioned diagnostics,
-# and the priscan analyzers must never panic or produce findings outside
-# the code segment on anything the assembler accepts. FUZZTIME=5m for a
-# longer local soak.
+# fuzz is the fuzz smoke CI runs on every push: the lexer/parser must
+# never panic and every failure must carry positioned diagnostics, the
+# priscan analyzers must never panic or produce findings outside the code
+# segment on anything the assembler accepts, and every matrix spec the
+# coordinator accepts must normalize idempotently and expand to distinct
+# points. FUZZTIME=5m for a longer local soak.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/asm -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm/analysis -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fabric -run '^$$' -fuzz '^FuzzMatrix$$' -fuzztime $(FUZZTIME)
 
 # benchgate is the kernel throughput regression gate: the steady-state
 # kernel benchmark must sustain at least 80% of the floor recorded in

@@ -121,6 +121,20 @@ func resolveOptions(o Options) (workloads.Workload, ooo.Config, error) {
 	return w, cfg, err
 }
 
+// Validate returns the error Simulate would return for o without running
+// anything: an unknown benchmark (when o names one), a bad width,
+// MachineJSON, policy or register count. With Benchmark empty it checks
+// the machine alone, as SimulateProgram does.
+func (o Options) Validate() error {
+	var err error
+	if o.Benchmark != "" {
+		_, _, err = resolveOptions(o)
+	} else {
+		_, err = machineFor(o)
+	}
+	return err
+}
+
 // machineFor builds the complete machine configuration o selects.
 func machineFor(o Options) (ooo.Config, error) {
 	cfg, err := resolveMachine(o)

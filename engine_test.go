@@ -3,6 +3,7 @@ package prisim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -88,6 +89,33 @@ func TestEngineErrorSentinels(t *testing.T) {
 		if !strings.HasPrefix(err.Error(), "prisim: ") {
 			t.Errorf("%s: error not prefixed: %v", tc.name, err)
 		}
+	}
+}
+
+// TestOptionsValidateMatchesSimulate checks that Validate returns exactly
+// the error Simulate returns, nil included, and that with no benchmark it
+// checks the machine alone.
+func TestOptionsValidateMatchesSimulate(t *testing.T) {
+	eng := fastEngine()
+	for _, o := range []Options{
+		{Benchmark: "gzip", Width: 8, Policy: PolicyPRI, PhysRegs: 48},
+		{Benchmark: "quake3"},
+		{Benchmark: "quake3", Policy: "magic"},
+		{Benchmark: "gzip", Policy: "magic"},
+		{Benchmark: "gzip", Width: 6},
+		{Benchmark: "gzip", PhysRegs: 8},
+		{Benchmark: "gzip", MachineJSON: []byte("{")},
+	} {
+		_, simErr := eng.Simulate(context.Background(), o)
+		if valErr := o.Validate(); fmt.Sprint(valErr) != fmt.Sprint(simErr) {
+			t.Errorf("%+v: Validate() = %v, Simulate error = %v", o, valErr, simErr)
+		}
+	}
+	if err := (Options{Policy: PolicyPRIPlusER, Width: 8}).Validate(); err != nil {
+		t.Errorf("machine-only Validate: %v", err)
+	}
+	if err := (Options{Policy: "magic"}).Validate(); !errors.Is(err, ErrUnknownPolicy) {
+		t.Errorf("machine-only Validate with an unknown policy = %v, want ErrUnknownPolicy", err)
 	}
 }
 

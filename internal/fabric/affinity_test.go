@@ -79,22 +79,33 @@ func TestWorkloadAffinitySpill(t *testing.T) {
 	}
 }
 
-// TestWorkloadAffinityProbeDoesNotAdvance checks the capacity probe
-// (advance=false) neither claims round-robin position nor records affinity.
-func TestWorkloadAffinityProbeDoesNotAdvance(t *testing.T) {
+// TestWorkloadAffinityFailedPickChangesNothing checks that a pick on a
+// saturated pool returns nil and leaves the round-robin position and the
+// recorded affinity as they were, and that a stale affinity to a
+// deregistered node does not wedge picking.
+func TestWorkloadAffinityFailedPickChangesNothing(t *testing.T) {
 	c := affinityCoord(1, "node-a", "node-b")
 	f := pointFor("gzip")
-	if w := c.pickWorkerAtLocked(f, false); w == nil {
-		t.Fatal("probe found no worker")
+	key := affinityKey(f.req)
+	c.rr = 1
+	c.affinity[key] = "node-a"
+	for _, w := range c.workers {
+		w.inflight = 1
 	}
-	if len(c.affinity) != 0 {
-		t.Errorf("capacity probe recorded affinity %v", c.affinity)
+	if w := c.pickWorkerLocked(f); w != nil {
+		t.Fatalf("saturated pool picked %s", w.id)
 	}
-	if c.rr != 0 {
-		t.Errorf("capacity probe advanced round-robin to %d", c.rr)
+	if got := c.affinity[key]; len(c.affinity) != 1 || got != "node-a" {
+		t.Errorf("failed pick changed affinity to %v", c.affinity)
+	}
+	if c.rr != 1 {
+		t.Errorf("failed pick moved round-robin to %d, want 1", c.rr)
 	}
 	// A deregistered affinity node must not wedge picking.
-	c.affinity[affinityKey(f.req)] = "node-gone"
+	for _, w := range c.workers {
+		w.inflight = 0
+	}
+	c.affinity[key] = "node-gone"
 	if w := c.pickWorkerLocked(f); w == nil {
 		t.Error("stale affinity to a deregistered node blocked picking")
 	}

@@ -35,6 +35,13 @@ var (
 	errCoordinatorDown = errors.New("coordinator is shut down")
 )
 
+// Limits on the coordinator's work.
+const (
+	maxAttempts  = 4               // dispatches of one point before the matrices waiting on it fail
+	pointTimeout = 5 * time.Minute // one dispatch: submit + wait + fetch
+	maxPoints    = 4096            // points in one matrix's expansion
+)
+
 // Config sizes a Coordinator. Store is required; the zero value of every
 // other field selects a sane default.
 type Config struct {
@@ -42,24 +49,13 @@ type Config struct {
 	// coordinator replays its matrix records at startup and resumes any
 	// that never finished.
 	Store *Store
-	// KernelVersion overrides the build version folded into content hashes
-	// (tests); default prisim.Version.
-	KernelVersion string
 	// WorkerSlots bounds concurrent points dispatched to one worker;
 	// <= 0 selects 4 (half a default worker's queue depth, so dispatch
 	// backpressure stays rare).
 	WorkerSlots int
-	// MaxAttempts bounds how often one point is dispatched before the
-	// matrices waiting on it fail; <= 0 selects 4.
-	MaxAttempts int
 	// RetryBackoff is the base delay before a failed point re-enters the
 	// queue (doubled per attempt, capped at 5s); <= 0 selects 200ms.
 	RetryBackoff time.Duration
-	// PointTimeout bounds one dispatch (submit + wait + fetch); <= 0
-	// selects 5m.
-	PointTimeout time.Duration
-	// MaxPoints bounds one matrix's expansion; <= 0 selects 4096.
-	MaxPoints int
 	// Logger receives coordinator logs; nil discards them.
 	Logger *log.Logger
 }
@@ -90,11 +86,11 @@ type flight struct {
 	req     prisimclient.JobRequest
 	owner   *matrixRun // the matrix whose submission created the flight
 	waiters []*matrixRun
-	queued  bool
 
 	attempts   int
 	lastWorker string
 	lastErr    string
+	retryAt    time.Time // a failed point waits on the queue until then
 }
 
 // matrixRun is the in-memory lifecycle of one submitted matrix. All fields
@@ -122,9 +118,8 @@ type matrixRun struct {
 // flight table, and the dispatch queue. Create one with New and stop it
 // with Close. A Coordinator is safe for concurrent use.
 type Coordinator struct {
-	cfg    Config
-	store  *Store
-	kernel string
+	cfg   Config
+	store *Store
 
 	rootCtx  context.Context
 	rootStop context.CancelFunc
@@ -138,7 +133,7 @@ type Coordinator struct {
 	rr           int               // round-robin start for worker picking
 	affinity     map[string]string // guarded by mu; workload affinity: snapshot key -> last worker id
 	flights      map[string]*flight
-	pending      []*flight
+	pending      []*flight // the dispatch queue, in arrival order: every point waiting for a worker
 	matrices     map[string]*matrixRun
 	matrixOrder  []string
 	dispatched   uint64 // total worker dispatches since creation
@@ -151,30 +146,17 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("fabric: Config.Store is required")
 	}
-	if cfg.KernelVersion == "" {
-		cfg.KernelVersion = prisim.Version
-	}
 	if cfg.WorkerSlots <= 0 {
 		cfg.WorkerSlots = 4
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 4
-	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 200 * time.Millisecond
-	}
-	if cfg.PointTimeout <= 0 {
-		cfg.PointTimeout = 5 * time.Minute
-	}
-	if cfg.MaxPoints <= 0 {
-		cfg.MaxPoints = 4096
 	}
 	//lint:ignore ctxcheck the coordinator owns this lifecycle root: every dispatch context derives from it and Close cancels it
 	ctx, stop := context.WithCancel(context.Background())
 	c := &Coordinator{
 		cfg:      cfg,
 		store:    cfg.Store,
-		kernel:   cfg.KernelVersion,
 		rootCtx:  ctx,
 		rootStop: stop,
 		workers:  make(map[string]*worker),
@@ -196,7 +178,7 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("fabric: replaying matrix %s: %w", rec.ID, err)
 		}
 		if mr.id != rec.ID {
-			c.logf("matrix=%s replay: spec now hashes to %s (kernel %s); resubmitting under the new identity", rec.ID, mr.id, c.kernel)
+			c.logf("matrix=%s replay: spec now hashes to %s (kernel %s); resubmitting under the new identity", rec.ID, mr.id, prisim.Version)
 		}
 		c.attachLocked(mr)
 	}
@@ -238,9 +220,6 @@ func (c *Coordinator) Dispatched() uint64 {
 	return c.dispatched
 }
 
-// KernelVersion reports the version folded into this coordinator's hashes.
-func (c *Coordinator) KernelVersion() string { return c.kernel }
-
 // --- Matrix lifecycle ---
 
 // SubmitMatrix validates and registers a matrix, serving warm points from
@@ -253,8 +232,8 @@ func (c *Coordinator) SubmitMatrix(spec prisimclient.Matrix) (st prisimclient.Ma
 	}
 	spec = NormalizeMatrix(spec)
 	points := len(spec.Benchmarks) * len(spec.Policies) * len(spec.Widths) * len(spec.PhysRegs)
-	if points > c.cfg.MaxPoints {
-		return prisimclient.MatrixStatus{}, false, fmt.Errorf("%w: %d > %d", ErrTooManyPoints, points, c.cfg.MaxPoints)
+	if points > maxPoints {
+		return prisimclient.MatrixStatus{}, false, fmt.Errorf("%w: %d > %d", ErrTooManyPoints, points, maxPoints)
 	}
 
 	c.mu.Lock()
@@ -262,7 +241,7 @@ func (c *Coordinator) SubmitMatrix(spec prisimclient.Matrix) (st prisimclient.Ma
 	if c.closed {
 		return prisimclient.MatrixStatus{}, false, errCoordinatorDown
 	}
-	id := MatrixID(c.kernel, spec)
+	id := MatrixID(prisim.Version, spec)
 	if mr, ok := c.matrices[id]; ok {
 		return c.statusLocked(mr), false, nil
 	}
@@ -288,9 +267,9 @@ func (c *Coordinator) buildRunLocked(spec prisimclient.Matrix, created time.Time
 		return nil, err
 	}
 	return &matrixRun{
-		id:         MatrixID(c.kernel, spec),
+		id:         MatrixID(prisim.Version, spec),
 		spec:       spec,
-		reqs:       Expand(c.kernel, spec),
+		reqs:       Expand(prisim.Version, spec),
 		created:    created,
 		state:      prisimclient.StateRunning,
 		results:    make(map[string]prisim.Result),
@@ -306,10 +285,6 @@ func (c *Coordinator) attachLocked(mr *matrixRun) {
 	c.matrixOrder = append(c.matrixOrder, mr.id)
 	for _, req := range mr.reqs {
 		key := req.CacheKey
-		if _, dup := mr.results[key]; dup {
-			// A degenerate spec can name one point twice; count it once.
-			continue
-		}
 		if e, ok := c.store.Get(key); ok {
 			c.recordPointLocked(mr, key, e.Result, e.ComputedBy, srcStore)
 			continue
@@ -319,21 +294,12 @@ func (c *Coordinator) attachLocked(mr *matrixRun) {
 			mr.coalesced++
 			continue
 		}
-		f := &flight{key: key, req: req, owner: mr, waiters: []*matrixRun{mr}, queued: true}
+		f := &flight{key: key, req: req, owner: mr, waiters: []*matrixRun{mr}}
 		c.flights[key] = f
 		c.pending = append(c.pending, f)
 	}
 	// An all-warm matrix already completed inside the last recordPointLocked.
 	c.cond.Broadcast()
-}
-
-// uniquePoints counts the distinct cache keys a run expands to.
-func (c *Coordinator) uniquePoints(mr *matrixRun) int {
-	seen := make(map[string]bool, len(mr.reqs))
-	for _, r := range mr.reqs {
-		seen[r.CacheKey] = true
-	}
-	return len(seen)
 }
 
 // pointSource says how a point reached a matrix.
@@ -365,7 +331,7 @@ func (c *Coordinator) recordPointLocked(mr *matrixRun, key string, res prisim.Re
 	case srcJoin:
 		// Counted in coalesced at attach time.
 	}
-	if mr.doneCount == c.uniquePoints(mr) {
+	if mr.doneCount == len(mr.reqs) {
 		c.finishRunLocked(mr)
 	}
 }
@@ -373,7 +339,7 @@ func (c *Coordinator) recordPointLocked(mr *matrixRun, key string, res prisim.Re
 // finishRunLocked assembles the run's tables and marks it done — durably,
 // so a restart replays it as completed.
 func (c *Coordinator) finishRunLocked(mr *matrixRun) {
-	tables, err := AssembleTables(c.kernel, mr.spec, func(key string) (prisim.Result, bool) {
+	tables, err := AssembleTables(prisim.Version, mr.spec, func(key string) (prisim.Result, bool) {
 		r, ok := mr.results[key]
 		return r, ok
 	})
@@ -411,12 +377,12 @@ func (c *Coordinator) statusLocked(mr *matrixRun) prisimclient.MatrixStatus {
 		Spec:          mr.spec,
 		State:         mr.state,
 		Error:         mr.errMsg,
-		Points:        c.uniquePoints(mr),
+		Points:        len(mr.reqs),
 		Done:          mr.doneCount,
 		StoreHits:     mr.hits,
 		Executed:      mr.executed,
 		Coalesced:     mr.coalesced,
-		KernelVersion: c.kernel,
+		KernelVersion: prisim.Version,
 		Created:       mr.created,
 		Finished:      mr.finished,
 	}
@@ -459,15 +425,10 @@ func (c *Coordinator) MatrixResult(id string) (prisimclient.MatrixResult, error)
 	case prisimclient.StateFailed:
 		return prisimclient.MatrixResult{}, fmt.Errorf("matrix failed: %s", mr.errMsg)
 	default:
-		return prisimclient.MatrixResult{}, fmt.Errorf("%w: %d/%d points resolved", ErrMatrixNotDone, mr.doneCount, c.uniquePoints(mr))
+		return prisimclient.MatrixResult{}, fmt.Errorf("%w: %d/%d points resolved", ErrMatrixNotDone, mr.doneCount, len(mr.reqs))
 	}
-	res := prisimclient.MatrixResult{ID: mr.id, KernelVersion: c.kernel, Tables: mr.tables}
-	seen := make(map[string]bool, len(mr.reqs))
+	res := prisimclient.MatrixResult{ID: mr.id, KernelVersion: prisim.Version, Tables: mr.tables}
 	for _, req := range mr.reqs {
-		if seen[req.CacheKey] {
-			continue
-		}
-		seen[req.CacheKey] = true
 		res.Points = append(res.Points, prisimclient.PointResult{
 			CacheKey:   req.CacheKey,
 			Request:    req,
@@ -514,8 +475,8 @@ func (c *Coordinator) RegisterWorker(ctx context.Context, url string) (prisimcli
 	if err != nil {
 		return prisimclient.WorkerInfo{}, fmt.Errorf("worker %s unreachable: %w", url, err)
 	}
-	if ver != c.kernel {
-		return prisimclient.WorkerInfo{}, fmt.Errorf("%w: worker %s runs %s, coordinator runs %s", ErrVersionSkew, url, ver, c.kernel)
+	if ver != prisim.Version {
+		return prisimclient.WorkerInfo{}, fmt.Errorf("%w: worker %s runs %s, coordinator runs %s", ErrVersionSkew, url, ver, prisim.Version)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

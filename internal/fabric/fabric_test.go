@@ -53,21 +53,6 @@ func bootWorker(t *testing.T, node string) string {
 	return ts.URL
 }
 
-// optionsFor mirrors the worker-side request mapping for direct Engine
-// reference runs.
-func optionsFor(req prisimclient.JobRequest) prisim.Options {
-	return prisim.Options{
-		Benchmark:         req.Benchmark,
-		Width:             req.Width,
-		Policy:            prisim.Policy(req.Policy),
-		PhysRegs:          req.PhysRegs,
-		RenameInline:      req.RenameInline,
-		DelayedAllocation: req.DelayedAllocation,
-		FastForward:       req.FastForward,
-		Run:               req.Run,
-	}
-}
-
 // tablesText renders tables the way clients consume them.
 func tablesText(tables []prisim.Table) string {
 	var sb strings.Builder
@@ -134,7 +119,7 @@ func TestFabricByteIdenticalAndWarmRestart(t *testing.T) {
 	eng := prisim.NewEngine()
 	direct := make(map[string]prisim.Result)
 	for _, req := range fabric.Expand(prisim.Version, spec) {
-		r, err := eng.Simulate(bg, optionsFor(req))
+		r, err := eng.Simulate(bg, req.Options())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,9 +145,9 @@ func TestFabricByteIdenticalAndWarmRestart(t *testing.T) {
 		t.Errorf("duplicate submission: created=%t id=%s, want coalesced onto %s", created, dup.ID, status.ID)
 	}
 
-	// Restart: a fresh coordinator over the same store, with NO workers and
-	// no local slots, must complete the replayed matrix and serve a
-	// resubmission entirely from the store.
+	// Restart: a fresh coordinator over the same store, with no workers,
+	// must complete the replayed matrix and serve a resubmission entirely
+	// from the store.
 	coord.Close()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -286,6 +271,50 @@ func TestWorkerCrashRedispatch(t *testing.T) {
 	}
 }
 
+// TestRepeatedWidthIsOnePoint submits a matrix that names its one width
+// twice: it is one point, counted once, and renders each table once.
+func TestRepeatedWidthIsOnePoint(t *testing.T) {
+	st, err := fabric.OpenStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := fabric.New(fabric.Config{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	if _, err := coord.RegisterWorker(bg, bootWorker(t, "node-a")); err != nil {
+		t.Fatal(err)
+	}
+	status, _, err := coord.SubmitMatrix(prisimclient.Matrix{
+		Benchmarks: []string{"gzip"}, Policies: []string{"base"}, Widths: []int{4, 4},
+		FastForward: tinyFF, Run: tinyRun,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(bg, 60*time.Second)
+	defer cancel()
+	final, err := coord.WaitMatrix(ctx, status.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != prisimclient.StateDone {
+		t.Fatalf("matrix state = %s (%s)", final.State, final.Error)
+	}
+	if final.Points != 1 || final.StoreHits+final.Executed+final.Coalesced != 1 {
+		t.Errorf("points=%d hits=%d executed=%d coalesced=%d, want one point counted once",
+			final.Points, final.StoreHits, final.Executed, final.Coalesced)
+	}
+	res, err := coord.MatrixResult(status.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tables) != 2 || len(res.Points) != 1 {
+		t.Errorf("result has %d tables and %d points, want 2 tables (IPC and lifetime) and 1 point", len(res.Tables), len(res.Points))
+	}
+}
+
 // TestCoordinatorRestartResumesInFlightMatrix stops the coordinator after
 // some (but not all) points landed in the store and asserts a fresh
 // coordinator over the same store finishes the matrix, executing only the
@@ -366,8 +395,8 @@ func TestOverlappingMatricesCoalescePoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No workers, no local slots: nothing can execute until we add capacity,
-	// so both submissions observe the shared point as in-flight.
+	// No workers: nothing can execute until we register one, so both
+	// submissions observe the shared point as in-flight.
 	coord, err := fabric.New(fabric.Config{Store: st})
 	if err != nil {
 		t.Fatal(err)

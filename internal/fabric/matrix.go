@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 
 	"prisim"
 	"prisim/internal/stats"
@@ -12,16 +13,14 @@ import (
 
 // NormalizeMatrix fills a matrix's defaulted dimensions with their explicit
 // values: widths [4], phys_regs [0] (machine default), and the universal
-// measurement-budget defaults. Content hashing, expansion, and durable
-// records all operate on the normalized form, so a spec and its
-// explicit-default spelling are the same matrix.
+// measurement-budget defaults. It drops repeated widths and phys_regs, the
+// first occurrence of each staying in place, so every expanded point is
+// distinct. Content hashing, expansion, and durable records all operate on
+// the normalized form, so a spec and its explicit-default spelling are the
+// same matrix.
 func NormalizeMatrix(m prisimclient.Matrix) prisimclient.Matrix {
-	if len(m.Widths) == 0 {
-		m.Widths = []int{4}
-	}
-	if len(m.PhysRegs) == 0 {
-		m.PhysRegs = []int{0}
-	}
+	m.Widths = distinct(m.Widths, 4)
+	m.PhysRegs = distinct(m.PhysRegs, 0)
 	if m.FastForward == 0 {
 		m.FastForward = prisim.DefaultFastForward
 	}
@@ -29,6 +28,21 @@ func NormalizeMatrix(m prisimclient.Matrix) prisimclient.Matrix {
 		m.Run = prisim.DefaultRun
 	}
 	return m
+}
+
+// distinct returns vals without repeats in a new slice, or [def] when vals
+// is empty.
+func distinct(vals []int, def int) []int {
+	if len(vals) == 0 {
+		return []int{def}
+	}
+	out := make([]int, 0, len(vals))
+	for _, v := range vals {
+		if !slices.Contains(out, v) {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // MatrixID derives a matrix's durable identity: "mx-" plus the leading hex
@@ -86,29 +100,21 @@ func Expand(kernelVersion string, m prisimclient.Matrix) []prisimclient.JobReque
 	return out
 }
 
-// ValidateMatrix checks the spec's shape and its benchmark/policy names
-// against the engine's lists, so a bad matrix fails at submit rather than
-// inside a worker.
+// ValidateMatrix checks the spec's shape, then has the engine validate
+// each benchmark and each policy, so a bad matrix fails at submit rather
+// than inside a worker.
 func ValidateMatrix(m prisimclient.Matrix) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	known := make(map[string]bool)
-	for _, b := range prisim.Benchmarks() {
-		known[b.Name] = true
-	}
 	for _, b := range m.Benchmarks {
-		if !known[b] {
-			return fmt.Errorf("unknown benchmark %q", b)
+		if err := (prisim.Options{Benchmark: b}).Validate(); err != nil {
+			return err
 		}
 	}
-	pols := make(map[string]bool)
-	for _, p := range prisim.Policies() {
-		pols[string(p)] = true
-	}
 	for _, p := range m.Policies {
-		if !pols[p] {
-			return fmt.Errorf("unknown policy %q", p)
+		if err := (prisim.Options{Policy: prisim.Policy(p)}).Validate(); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -10,42 +10,46 @@ import (
 	"prisim/prisimclient"
 )
 
-// schedule is the dispatch loop: it sleeps on the condition variable until
-// a cold point is queued AND a healthy worker has a free slot, then fans the
-// point out. Every point runs through a worker's job API — a single-node
-// fabric is a coordinator that joins itself — and a retried point prefers a
-// different worker than the one that just failed it.
+// schedule is the dispatch loop. Each wake it walks the queue once, in
+// arrival order, and dispatches every point a healthy worker with a free
+// slot can take; the rest stay queued for the next wake. Every point runs
+// through a worker's job API — a single-node fabric is a coordinator that
+// joins itself — and a retried point prefers a different worker than the
+// one that just failed it. Whatever can make a queued point dispatchable
+// wakes the loop: a new point, a freed slot, a registered worker, a retry
+// coming due, and the tick that ends a quarantine.
 func (c *Coordinator) schedule() {
 	defer c.wg.Done()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for {
-		for !c.closed && !c.dispatchableLocked() {
-			c.cond.Wait()
-		}
-		if c.closed {
-			return
-		}
-		// Walk the queue once; anything undispatchable right now stays put.
+	for !c.closed {
+		now := time.Now()
 		var rest []*flight
-		for i := 0; i < len(c.pending); i++ {
-			f := c.pending[i]
-			if w := c.pickWorkerLocked(f); w != nil {
-				f.queued = false
-				w.inflight++
-				c.dispatched++
-				c.wg.Add(1)
-				go c.execOnWorker(w, f)
+		for _, f := range c.pending {
+			var w *worker
+			if !now.Before(f.retryAt) {
+				w = c.pickWorkerLocked(f)
+			}
+			if w == nil {
+				rest = append(rest, f)
 				continue
 			}
-			rest = append(rest, f)
+			w.inflight++
+			c.dispatched++
+			c.wg.Add(1)
+			go c.execOnWorker(w, f)
 		}
 		c.pending = rest
-		if len(c.pending) > 0 {
-			// Out of capacity — wait for an exec to finish or a tick.
-			c.cond.Wait()
-		}
+		c.cond.Wait()
 	}
+}
+
+// wake starts the scheduler's next pass. It takes c.mu, so a wake can never
+// land between a pass and the wait that follows it.
+func (c *Coordinator) wake() {
+	c.mu.Lock()
+	c.cond.Broadcast()
+	c.mu.Unlock()
 }
 
 // tick periodically wakes the scheduler so quarantined workers get retried
@@ -59,26 +63,9 @@ func (c *Coordinator) tick() {
 		case <-c.rootCtx.Done():
 			return
 		case <-t.C:
-			c.cond.Broadcast()
+			c.wake()
 		}
 	}
-}
-
-// dispatchableLocked reports whether any queued point could dispatch now.
-func (c *Coordinator) dispatchableLocked() bool {
-	if len(c.pending) == 0 {
-		return false
-	}
-	for _, f := range c.pending {
-		if c.pickableWorkerLocked(f) {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Coordinator) pickableWorkerLocked(f *flight) bool {
-	return c.pickWorkerAtLocked(f, false) != nil
 }
 
 // affinityKey identifies the fast-forward snapshot a point's run clones on
@@ -94,16 +81,9 @@ func affinityKey(req prisimclient.JobRequest) string {
 // (b) healthy workers with free slots on a round-robin, avoiding (c) the
 // node that just failed the point (the idle-node fan-out rule).
 // Quarantined workers become eligible again after workerCooldown. The
-// chosen worker is recorded as the workload's new affinity.
+// chosen worker is recorded as the workload's new affinity; a pick that
+// finds no worker changes nothing.
 func (c *Coordinator) pickWorkerLocked(f *flight) *worker {
-	w := c.pickWorkerAtLocked(f, true)
-	if w != nil {
-		c.affinity[affinityKey(f.req)] = w.id
-	}
-	return w
-}
-
-func (c *Coordinator) pickWorkerAtLocked(f *flight, advance bool) *worker {
 	n := len(c.workerOrder)
 	if n == 0 {
 		return nil
@@ -115,44 +95,48 @@ func (c *Coordinator) pickWorkerAtLocked(f *flight, advance bool) *worker {
 	}
 	// Workload affinity first: reusing the node that already fast-forwarded
 	// this workload turns the run's warm-up into a snapshot clone.
-	if id, ok := c.affinity[affinityKey(f.req)]; ok {
+	key := affinityKey(f.req)
+	if id, ok := c.affinity[key]; ok {
 		if w := c.workers[id]; w != nil && eligible(w) && w.id != f.lastWorker {
 			return w
 		}
 	}
-	var fallback *worker // eligible but same node as the last failure
+	var pick *worker // the node that last failed f only if no other is eligible
 	for i := 0; i < n; i++ {
 		w := c.workers[c.workerOrder[(c.rr+i)%n]]
 		if !eligible(w) {
 			continue
 		}
-		if w.id == f.lastWorker {
-			if fallback == nil {
-				fallback = w
-			}
-			continue
-		}
-		if advance {
+		if w.id != f.lastWorker {
 			c.rr = (c.rr + i + 1) % n
+			pick = w
+			break
 		}
-		return w
+		if pick == nil {
+			pick = w
+		}
 	}
-	return fallback
+	if pick != nil {
+		c.affinity[key] = pick.id
+	}
+	return pick
 }
 
 // execOnWorker runs one point on a worker daemon: submit (with 429/503
 // retry honoring the server's Retry-After), wait for the terminal state,
 // fetch the result. Success lands in the store and resolves every waiting
 // matrix; failure re-queues the point with exponential backoff or fails
-// its matrices after MaxAttempts.
+// its matrices after maxAttempts. Either way the freed slot wakes the
+// scheduler.
 func (c *Coordinator) execOnWorker(w *worker, f *flight) {
 	defer c.wg.Done()
-	ctx, cancel := context.WithTimeout(c.rootCtx, c.cfg.PointTimeout)
+	ctx, cancel := context.WithTimeout(c.rootCtx, pointTimeout)
 	defer cancel()
 	res, by, err := runPoint(ctx, w.client, f.req)
 
 	c.mu.Lock()
 	w.inflight--
+	c.cond.Broadcast()
 	if err != nil {
 		w.failures++
 		w.consecFails++
@@ -182,7 +166,7 @@ func (c *Coordinator) execOnWorker(w *worker, f *flight) {
 func (c *Coordinator) pointDone(f *flight, res prisim.Result, by string) {
 	if err := c.store.Put(Entry{
 		Key:        f.key,
-		Kernel:     c.kernel,
+		Kernel:     prisim.Version,
 		ComputedBy: by,
 		Created:    time.Now(),
 		Request:    f.req,
@@ -201,7 +185,6 @@ func (c *Coordinator) pointDone(f *flight, res prisim.Result, by string) {
 		}
 		c.recordPointLocked(mr, f.key, res, by, src)
 	}
-	c.cond.Broadcast()
 }
 
 // pointFailedLocked re-queues a failed point with exponential backoff, or —
@@ -214,7 +197,7 @@ func (c *Coordinator) pointFailedLocked(f *flight, workerID string, err error) {
 	if c.closed {
 		return
 	}
-	if f.attempts >= c.cfg.MaxAttempts {
+	if f.attempts >= maxAttempts {
 		delete(c.flights, f.key)
 		c.logf("point=%.12s failed after %d attempts: %v", f.key, f.attempts, err)
 		for _, mr := range f.waiters {
@@ -228,22 +211,9 @@ func (c *Coordinator) pointFailedLocked(f *flight, workerID string, err error) {
 		backoff = max
 	}
 	c.logf("point=%.12s attempt=%d node=%s error=%v; retrying in %s", f.key, f.attempts, workerID, err, backoff)
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		select {
-		case <-c.rootCtx.Done():
-			return
-		case <-time.After(backoff):
-		}
-		c.mu.Lock()
-		if !c.closed && !f.queued {
-			f.queued = true
-			c.pending = append(c.pending, f)
-			c.cond.Broadcast()
-		}
-		c.mu.Unlock()
-	}()
+	f.retryAt = time.Now().Add(backoff)
+	c.pending = append(c.pending, f)
+	time.AfterFunc(backoff, c.wake)
 }
 
 // runPoint drives one point through a worker's job API: submit, wait,

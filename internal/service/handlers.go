@@ -185,21 +185,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// rejectionBody maps an assembly or static-analysis rejection to its 422
-// response body (nil when err is neither).
+// rejectionBody maps a program rejection to its 422 response body (nil
+// when err is not one).
 func rejectionBody(err error) (int, map[string]any) {
-	var ae *AssemblyError
-	if errors.As(err, &ae) {
+	var pe *ProgramError
+	if errors.As(err, &pe) {
 		return http.StatusUnprocessableEntity, map[string]any{
-			"error":       ae.Error(),
-			"diagnostics": ae.Diags,
-		}
-	}
-	var le *LintError
-	if errors.As(err, &le) {
-		return http.StatusUnprocessableEntity, map[string]any{
-			"error":       le.Error(),
-			"diagnostics": le.Diags,
+			"error":       pe.Error(),
+			"diagnostics": pe.Diags,
 		}
 	}
 	return 0, nil

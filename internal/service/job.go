@@ -28,19 +28,19 @@ type job struct {
 	settle func(prisimclient.Job) // set at submit, immutable after; records the terminal state, called with mu held
 
 	mu         sync.Mutex
-	state      prisimclient.JobState                // guarded by mu
-	errMsg     string                               // guarded by mu
-	done, tot  int                                  // guarded by mu; progress: resolved / requested simulation points
-	created    time.Time                            // guarded by mu
-	started    time.Time                            // guarded by mu
-	finished   time.Time                            // guarded by mu
-	result     *prisim.Result                       // guarded by mu; simulate and program jobs
-	tables     []prisim.Table                       // guarded by mu; experiment jobs
-	output     []byte                               // guarded by mu; program console output
-	computedBy string                               // guarded by mu; node that produced the result
-	subs       map[chan prisimclient.Event]struct{} // guarded by mu
-	doneCh     chan struct{}                        // closed when the job reaches a terminal state
-	cancelAsk  bool                                 // guarded by mu; DELETE arrived (distinguishes cancel from timeout)
+	state      prisimclient.JobState // guarded by mu
+	errMsg     string                // guarded by mu
+	done, tot  int                   // guarded by mu; progress: resolved / requested simulation points
+	created    time.Time             // guarded by mu
+	started    time.Time             // guarded by mu
+	finished   time.Time             // guarded by mu
+	result     *prisim.Result        // guarded by mu; simulate and program jobs
+	tables     []prisim.Table        // guarded by mu; experiment jobs
+	output     []byte                // guarded by mu; program console output
+	computedBy string                // guarded by mu; node that produced the result
+	changed    chan struct{}         // guarded by mu; closed and replaced when the state or progress changes
+	doneCh     chan struct{}         // closed when the job reaches a terminal state
+	cancelAsk  bool                  // guarded by mu; DELETE arrived (distinguishes cancel from timeout)
 }
 
 func newJob(id string, req prisimclient.JobRequest, parent context.Context, now time.Time) *job {
@@ -52,7 +52,7 @@ func newJob(id string, req prisimclient.JobRequest, parent context.Context, now 
 		cancel:  cancel,
 		state:   prisimclient.StateQueued,
 		created: now,
-		subs:    make(map[chan prisimclient.Event]struct{}),
+		changed: make(chan struct{}),
 		doneCh:  make(chan struct{}),
 	}
 }
@@ -81,49 +81,30 @@ func (j *job) viewLocked() prisimclient.Job {
 	}
 }
 
-// event builds an SSE event for the job's current state. Callers hold j.mu.
-func (j *job) eventLocked(typ string) prisimclient.Event {
+// watch returns the job's current state and progress as an untyped event,
+// and a channel that closes at the job's next change.
+func (j *job) watch() (prisimclient.Event, <-chan struct{}) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	return prisimclient.Event{
-		Type:     typ,
 		JobID:    j.id,
 		State:    j.state,
 		Error:    j.errMsg,
 		Progress: prisimclient.Progress{Done: j.done, Total: j.tot},
-	}
+	}, j.changed
 }
 
-// publishLocked fans an event out to subscribers without blocking: a
-// subscriber whose buffer is full misses intermediate events but never the
-// final state, because SSE streams watch doneCh as well.
-func (j *job) publishLocked(ev prisimclient.Event) {
-	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
+// changedLocked wakes every stream watching the job. Callers hold j.mu.
+func (j *job) changedLocked() {
+	close(j.changed)
+	j.changed = make(chan struct{})
 }
 
-// subscribe registers an SSE listener and returns its channel, a snapshot
-// event to send first, and an unsubscribe func.
-func (j *job) subscribe() (ch chan prisimclient.Event, first prisimclient.Event, unsub func()) {
-	ch = make(chan prisimclient.Event, 64)
-	j.mu.Lock()
-	j.subs[ch] = struct{}{}
-	first = j.eventLocked("state")
-	j.mu.Unlock()
-	return ch, first, func() {
-		j.mu.Lock()
-		delete(j.subs, ch)
-		j.mu.Unlock()
-	}
-}
-
-// setProgress updates the run counters and notifies subscribers.
+// setProgress updates the run counters.
 func (j *job) setProgress(done, total int) {
 	j.mu.Lock()
 	j.done, j.tot = done, total
-	j.publishLocked(j.eventLocked("progress"))
+	j.changedLocked()
 	j.mu.Unlock()
 }
 
@@ -137,7 +118,7 @@ func (j *job) start(now time.Time) bool {
 	}
 	j.state = prisimclient.StateRunning
 	j.started = now
-	j.publishLocked(j.eventLocked("state"))
+	j.changedLocked()
 	return true
 }
 
@@ -157,7 +138,7 @@ func (j *job) finish(state prisimclient.JobState, errMsg string, now time.Time) 
 	if j.settle != nil {
 		j.settle(j.viewLocked())
 	}
-	j.publishLocked(j.eventLocked("state"))
+	j.changedLocked()
 	close(j.doneCh)
 	return true
 }
@@ -183,25 +164,11 @@ func (j *job) cancelRequested() bool {
 	return j.cancelAsk
 }
 
-// setComputedBy records which node's engine produced the job's result.
-func (j *job) setComputedBy(node string) {
+// setPayload stores a job's result, its tables, its console output and the
+// node that produced them, before finish publishes the done state.
+func (j *job) setPayload(res *prisim.Result, tables []prisim.Table, output []byte, by string) {
 	j.mu.Lock()
-	j.computedBy = node
-	j.mu.Unlock()
-}
-
-// setResult stores a finished job's payload (before finish flips the state).
-func (j *job) setResult(res *prisim.Result, tables []prisim.Table) {
-	j.mu.Lock()
-	j.result = res
-	j.tables = tables
-	j.mu.Unlock()
-}
-
-// setOutput stores a program job's console output.
-func (j *job) setOutput(out []byte) {
-	j.mu.Lock()
-	j.output = out
+	j.result, j.tables, j.output, j.computedBy = res, tables, output, by
 	j.mu.Unlock()
 }
 

@@ -16,6 +16,7 @@ import (
 	"log"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -37,50 +38,29 @@ var (
 	ErrCacheKeyMismatch = errors.New("cache key mismatch")
 )
 
-// AssemblyError rejects a program submission whose source failed to
-// assemble; the HTTP layer maps it to 422 with the structured diagnostics
-// in the body.
-type AssemblyError struct {
+// ProgramError rejects a program submission whose source failed to
+// assemble, or whose static analysis found a provable defect (e.g. a store
+// whose every possible address lies outside the program image). The HTTP
+// layer maps it to 422 with the structured diagnostics in the body — for a
+// static-analysis rejection, the errors and the accompanying warnings — so
+// the client sees everything in one round trip. Warning-only findings never
+// produce a ProgramError; they ride along on the accepted job instead.
+type ProgramError struct {
 	Diags []prisimclient.Diagnostic
-	err   error
+	msg   string
 }
 
-// Error keeps the message itself short — the structured diagnostics carry
-// the positions and excerpts, so repeating the assembler's full rendering
-// here would print everything twice on the client.
-func (e *AssemblyError) Error() string {
-	n := len(e.Diags)
+// programError counts n errors in its message; the structured diagnostics
+// carry the positions and excerpts, so the message itself stays short.
+func programError(what string, n int, diags []prisimclient.Diagnostic) *ProgramError {
+	msg := fmt.Sprintf("%s: %d errors", what, n)
 	if n == 1 {
-		return "program failed to assemble: 1 error"
+		msg = what + ": 1 error"
 	}
-	return fmt.Sprintf("program failed to assemble: %d errors", n)
+	return &ProgramError{Diags: diags, msg: msg}
 }
 
-// Unwrap exposes the underlying assembler error.
-func (e *AssemblyError) Unwrap() error { return e.err }
-
-// LintError rejects a program submission whose static analysis found a
-// provable defect (e.g. a store whose every possible address lies outside
-// the program image). The HTTP layer maps it to 422 with the full
-// diagnostic list — errors and the accompanying warnings — so the client
-// sees everything in one round trip. Warning-only findings never produce
-// a LintError; they ride along on the accepted job instead.
-type LintError struct {
-	Diags []prisimclient.Diagnostic
-}
-
-func (e *LintError) Error() string {
-	n := 0
-	for _, d := range e.Diags {
-		if d.Severity == "error" {
-			n++
-		}
-	}
-	if n == 1 {
-		return "program rejected by static analysis: 1 error"
-	}
-	return fmt.Sprintf("program rejected by static analysis: %d errors", n)
-}
+func (e *ProgramError) Error() string { return e.msg }
 
 // ProgramLimits is the sandbox for user-submitted program jobs. Zero fields
 // select the defaults; the limits bound resources only and never change a
@@ -241,37 +221,19 @@ func (s *Server) Submit(req prisimclient.JobRequest) (*job, error) {
 	// Validate names up front so a bad request fails at submit, not inside
 	// a worker.
 	var checked *checkedProgram
-	if req.Kind == prisimclient.KindProgram {
-		var err error
-		if checked, err = s.assembleRequest(&req); err != nil {
-			return nil, err
+	var err error
+	switch req.Kind {
+	case prisimclient.KindSimulate:
+		err = req.Options().Validate()
+	case prisimclient.KindProgram:
+		checked, err = s.assembleRequest(&req)
+	case prisimclient.KindExperiment:
+		if !slices.Contains(prisim.ExperimentNames(), req.Experiment) {
+			err = fmt.Errorf("unknown experiment %q", req.Experiment)
 		}
 	}
-	if req.Kind == prisimclient.KindSimulate {
-		if _, err := prisim.MachineJSON(req.Options()); err != nil {
-			return nil, err
-		}
-		found := false
-		for _, b := range prisim.Benchmarks() {
-			if b.Name == req.Benchmark {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown benchmark %q", req.Benchmark)
-		}
-	} else if req.Kind == prisimclient.KindExperiment {
-		found := false
-		for _, name := range prisim.ExperimentNames() {
-			if name == req.Experiment {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown experiment %q", req.Experiment)
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	// Content-address the point: resolve the effective budget (request, then
@@ -348,10 +310,10 @@ type checkedProgram struct {
 
 // assembleRequest enforces the program sandbox's submit-time limits,
 // assembles the source, and runs the priscan analyzers over the image,
-// recording the outcomes in the program metrics. An assembly failure
-// returns *AssemblyError and an analysis finding of error severity
-// returns *LintError, so the HTTP layer can answer 422 with every
-// positioned diagnostic; in both cases no engine run is ever dispatched.
+// recording the outcomes in the program metrics. An assembly failure or an
+// analysis finding of error severity returns *ProgramError, so the HTTP
+// layer can answer 422 with every positioned diagnostic; no engine run is
+// ever dispatched for either.
 // Warning findings never reject: they come back on the checkedProgram.
 func (s *Server) assembleRequest(req *prisimclient.JobRequest) (*checkedProgram, error) {
 	lim := s.cfg.Programs
@@ -361,13 +323,14 @@ func (s *Server) assembleRequest(req *prisimclient.JobRequest) (*checkedProgram,
 	if req.Run > lim.MaxRun {
 		return nil, fmt.Errorf("program run budget %d exceeds the server cap %d", req.Run, lim.MaxRun)
 	}
-	if _, err := prisim.MachineJSON(req.Options()); err != nil {
+	if err := req.Options().Validate(); err != nil {
 		return nil, err
 	}
 	prog, err := asm.AssembleFile("program.s", string(req.Source))
 	if err != nil {
 		s.metrics.incProgramAssemblyError()
-		return nil, &AssemblyError{Diags: wireDiags(asm.Diagnostics(err)), err: err}
+		diags := wireDiags(asm.Diagnostics(err))
+		return nil, programError("program failed to assemble", len(diags), diags)
 	}
 	s.metrics.incProgramAssembled()
 
@@ -381,7 +344,7 @@ func (s *Server) assembleRequest(req *prisimclient.JobRequest) (*checkedProgram,
 	}
 	if nerrors > 0 {
 		s.metrics.incProgramLintRejected()
-		return nil, &LintError{Diags: wireLintDiags(diags)}
+		return nil, programError("program rejected by static analysis", nerrors, wireLintDiags(diags))
 	}
 	s.metrics.addProgramLintWarnings(len(diags))
 	inl := rep.Inlinability
@@ -509,7 +472,7 @@ func (s *Server) execute(j *job, prog *asm.Program) (state prisimclient.JobState
 		var tables []prisim.Table
 		tables, err = eng.ExperimentTables(ctx, j.req.Experiment, j.req.Options())
 		if err == nil {
-			j.setResult(nil, tables)
+			j.setPayload(nil, tables, nil, "")
 		}
 	case prisimclient.KindProgram:
 		opts := j.req.Options()
@@ -553,10 +516,8 @@ func (s *Server) resolve(j *job, run func() (prisim.ProgramResult, error)) error
 	if s.store != nil {
 		if e, ok := s.store.Get(j.cacheKey); ok {
 			res := e.Result
-			j.setComputedBy(e.ComputedBy)
+			j.setPayload(&res, nil, e.Output, e.ComputedBy)
 			j.setProgress(1, 1)
-			j.setResult(&res, nil)
-			j.setOutput(e.Output)
 			s.metrics.incStoreHit()
 			return nil
 		}
@@ -565,9 +526,7 @@ func (s *Server) resolve(j *job, run func() (prisim.ProgramResult, error)) error
 	if err != nil {
 		return err
 	}
-	j.setComputedBy(s.nodeID)
-	j.setResult(&pres.Result, nil)
-	j.setOutput(pres.Output)
+	j.setPayload(&pres.Result, nil, pres.Output, s.nodeID)
 	s.metrics.observeSimulate(pres.Committed, time.Since(started))
 	if s.store != nil {
 		if perr := s.store.Put(fabric.Entry{

@@ -12,11 +12,12 @@ import (
 // heartbeatEvery keeps idle SSE connections alive through proxies.
 const heartbeatEvery = 15 * time.Second
 
-// handleEvents streams a job's lifecycle as Server-Sent Events: an initial
-// "state" snapshot, "progress" events as simulation points resolve, and a
-// final "state" event at the terminal state, after which the stream closes.
-// Dropped intermediate events are tolerated by design — the final state is
-// delivered via the job's done channel, never the subscriber buffer.
+// handleEvents streams a job's lifecycle as Server-Sent Events read from
+// the job itself: the current snapshot first, as a "state" event, then
+// each changed snapshot — a "state" event when the state moved, otherwise
+// a "progress" event — until the terminal state, after which the stream
+// closes. A slow stream skips intermediate progress, never the terminal
+// state: every send reads the job's latest snapshot.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.pathJob(w, r)
 	if !ok {
@@ -32,59 +33,32 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	ch, first, unsub := j.subscribe()
-	defer unsub()
-
-	send := func(ev prisimclient.Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	if !send(first) {
-		return
-	}
-	if first.Type == "state" && first.State.Terminal() {
-		return
-	}
-
 	hb := time.NewTicker(heartbeatEvery)
 	defer hb.Stop()
-	for {
+	var last prisimclient.Event // the last snapshot sent, untyped
+	for first := true; ; first = false {
+		snap, changed := j.watch()
+		if first || snap != last {
+			ev := snap
+			ev.Type = "progress"
+			if first || snap.State != last.State {
+				ev.Type = "state"
+			}
+			data, err := json.Marshal(ev)
+			if err != nil {
+				return
+			}
+			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data); err != nil {
+				return
+			}
+			fl.Flush()
+			last = snap
+		}
+		if snap.State.Terminal() {
+			return
+		}
 		select {
-		case ev := <-ch:
-			if !send(ev) {
-				return
-			}
-			if ev.Type == "state" && ev.State.Terminal() {
-				return
-			}
-		case <-j.doneCh:
-			// Drain anything buffered, then emit the authoritative final
-			// snapshot.
-			for {
-				select {
-				case ev := <-ch:
-					if ev.Type == "state" && ev.State.Terminal() {
-						send(ev)
-						return
-					}
-					if !send(ev) {
-						return
-					}
-				default:
-					j.mu.Lock()
-					final := j.eventLocked("state")
-					j.mu.Unlock()
-					send(final)
-					return
-				}
-			}
+		case <-changed:
 		case <-hb.C:
 			if _, err := fmt.Fprint(w, ": heartbeat\n\n"); err != nil {
 				return

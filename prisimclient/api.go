@@ -400,6 +400,9 @@ func (m Matrix) Validate() error {
 	for name, vals := range map[string][]string{"benchmarks": m.Benchmarks, "policies": m.Policies} {
 		seen := make(map[string]bool, len(vals))
 		for _, v := range vals {
+			if v == "" {
+				return fmt.Errorf("empty %s entry", name)
+			}
 			if seen[v] {
 				return fmt.Errorf("duplicate %s entry %q", name, v)
 			}
