@@ -72,18 +72,6 @@ func (p *Program) DataLimit() uint64 {
 	return limit
 }
 
-// PosAt returns the recorded source position for the code word at addr.
-func (p *Program) PosAt(addr uint64) (SrcPos, bool) {
-	if p.Lines == nil || addr < p.CodeBase || addr%4 != 0 {
-		return SrcPos{}, false
-	}
-	i := (addr - p.CodeBase) / 4
-	if i >= uint64(len(p.Lines)) {
-		return SrcPos{}, false
-	}
-	return p.Lines[i], true
-}
-
 // SHA256 returns the hex digest of the canonical image serialization:
 // schema tag, entry, code base, code words, and each data segment's base,
 // length, and bytes, all little-endian. Symbols are excluded — they do not

@@ -195,13 +195,6 @@ func (m *Machine) SetPC(pc uint64) { m.PC = pc }
 // Reg returns the current value of an architected register.
 func (m *Machine) Reg(r isa.Reg) uint64 { return m.regs[r] }
 
-// SetReg sets an architected register (test setup; not undo-logged).
-func (m *Machine) SetReg(r isa.Reg, v uint64) {
-	if r != isa.RZero {
-		m.regs[r] = v
-	}
-}
-
 // Halted reports whether the program has executed HALT.
 func (m *Machine) Halted() bool { return m.halted }
 

@@ -61,7 +61,6 @@ type Store struct {
 	mu sync.Mutex
 
 	f    *os.File                 // guarded by mu; nil = memory-only store
-	path string                   // "" = memory-only
 	ents map[string]Entry         // guarded by mu; by cache key
 	mats map[string]*MatrixRecord // guarded by mu; by matrix ID
 	mord []string                 // guarded by mu; matrix insertion order
@@ -78,7 +77,6 @@ type Store struct {
 //prisim:locked — the store is under construction and unshared until return.
 func OpenStore(path string) (*Store, error) {
 	s := &Store{
-		path: path,
 		ents: make(map[string]Entry),
 		mats: make(map[string]*MatrixRecord),
 	}
@@ -262,9 +260,6 @@ func (s *Store) Stats() (entries int, hits, misses uint64) {
 	defer s.mu.Unlock()
 	return len(s.ents), s.hits, s.misses
 }
-
-// Path reports the backing log file ("" for a memory-only store).
-func (s *Store) Path() string { return s.path }
 
 // Close releases the log file. The store must not be used afterwards.
 func (s *Store) Close() error {

@@ -40,14 +40,6 @@ type Stats struct {
 	RetireLagCount uint64
 }
 
-// AvgRetireLag is the mean rename-cursor distance at writeback.
-func (s *Stats) AvgRetireLag() float64 {
-	if s.RetireLagCount == 0 {
-		return 0
-	}
-	return float64(s.RetireLagSum) / float64(s.RetireLagCount)
-}
-
 // IPC returns committed instructions per cycle.
 func (s *Stats) IPC() float64 {
 	if s.Cycles == 0 {
