@@ -16,7 +16,7 @@
 //
 // Helper methods that document "caller holds the lock" are exempted two
 // ways: a name ending in "Locked" (the repo's convention — viewLocked,
-// publishLocked), or an explicit //prisim:locked directive in the doc
+// changedLocked), or an explicit //prisim:locked directive in the doc
 // comment. Function literals run on unknown goroutines/defer schedules, so
 // their bodies start with no locks held — which is the truth for the `go`
 // and `defer` cases that matter.
