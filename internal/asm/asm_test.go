@@ -1,6 +1,8 @@
 package asm
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -305,5 +307,47 @@ func TestJumpRegionCheck(t *testing.T) {
 	b.Label("x")
 	if _, err := b.Finish(); err == nil {
 		t.Fatal("label fixup on non-control instruction not rejected")
+	}
+}
+
+// TestLiFrontendsAgree checks that Builder.Li and the text assembler's li
+// expand every value class to the same words, and that those words are the
+// ones the built-in workload images were recorded with.
+func TestLiFrontendsAgree(t *testing.T) {
+	cases := []struct {
+		v     int64
+		words string
+	}{
+		{0, "08050000"},
+		{-1, "0805ffff"},
+		{0x7FFF, "08057fff"},
+		{-0x8000, "08058000"},
+		{0x8000, "28050000 10a58000"},
+		{0x12340000, "28051234"},
+		{0x12345678, "28051234 10a55678"},
+		{-1 << 31, "28058000"},
+		{0x1234_5678_9ABC, "10051234 18a50010 10a55678 18a50010 10a59abc"},
+		{-0x1234_5678_9ABC, "1005ffff 18a50010 10a5edcb 18a50010 10a5a987 18a50010 10a56544"},
+		{math.MaxInt64, "10057fff 18a50010 10a5ffff 18a50010 10a5ffff 18a50010 10a5ffff"},
+		{math.MinInt64, "10058000 18a50010 18a50010 18a50010"},
+	}
+	hex := func(code []uint32) string {
+		words := make([]string, len(code))
+		for i, w := range code {
+			words[i] = fmt.Sprintf("%08x", w)
+		}
+		return strings.Join(words, " ")
+	}
+	for _, c := range cases {
+		b := NewBuilder()
+		b.Li(isa.IntReg(5), c.v)
+		built := hex(b.MustFinish().Code)
+		p, err := Assemble(fmt.Sprintf("li r5, %#x", uint64(c.v)))
+		if err != nil {
+			t.Fatalf("li r5, %d: %v", c.v, err)
+		}
+		if text := hex(p.Code); built != c.words || text != c.words {
+			t.Errorf("li r5, %d: builder %q, text %q, want %q", c.v, built, text, c.words)
+		}
 	}
 }

@@ -29,6 +29,8 @@ const wireTableString = "== Figure 8: avg register lifetime (cycles) ==\n" +
 
 const wireJobResultJSON = `{"id":"job-42","result":` + wireResultJSON + `,"tables":[` + wireTableJSON + `],"output":"SGkK","kernel_version":"v9.9.9-test","cache_key":"abc123","computed_by":"w1"}`
 
+const wireProgramInfoJSON = `{"sha256":"abc123","entry":65536,"code_words":21,"data_segments":2,"data_bytes":24,"warnings":[{"file":"program.s","line":3,"col":3,"msg":"value written to r5 is never read","excerpt":"\tli r5, 7","analyzer":"defuse","severity":"warning","addr":65544}],"inlinability":{"narrow_bits":7,"defs":12,"narrow":9,"wide":2,"unknown":1,"fp_defs":3,"static_frac":0.75,"weighted_frac":0.875}}`
+
 const wireEntryJSON = `{"key":"abc123","kernel":"v9.9.9-test","computed_by":"w1","created":"2026-08-01T12:00:00Z","request":{"kind":"program","benchmark":"mcf","width":8,"policy":"pri-rc-ckpt","phys_regs":48,"rename_inline":true,"delayed_allocation":true,"experiment":"fig8","source":"bWFpbjogaGFsdAo=","fast_forward":300,"run":1500,"cache_key":"abc123"},"result":` + wireResultJSON + `,"output":"SGkK"}`
 
 func wireValues() (prisim.Result, prisim.Table) {
@@ -49,8 +51,9 @@ func wireValues() (prisim.Result, prisim.Table) {
 	return res, tbl
 }
 
-// TestWireBytesPinned encodes a fully populated Result, Table, JobResult and
-// store Entry and compares every byte with the recorded strings.
+// TestWireBytesPinned encodes a fully populated Result, Table, JobResult,
+// ProgramInfo and store Entry and compares every byte with the recorded
+// strings.
 func TestWireBytesPinned(t *testing.T) {
 	res, tbl := wireValues()
 	jr := prisimclient.JobResult{
@@ -68,6 +71,17 @@ func TestWireBytesPinned(t *testing.T) {
 		Result: res,
 		Output: []byte("Hi\n"),
 	}
+	info := prisimclient.ProgramInfo{
+		SHA256: "abc123", Entry: 0x10000, CodeWords: 21, DataSegments: 2, DataBytes: 24,
+		Warnings: []prisimclient.Diagnostic{{
+			File: "program.s", Line: 3, Col: 3, Msg: "value written to r5 is never read",
+			Excerpt: "\tli r5, 7", Analyzer: "defuse", Severity: "warning", Addr: 0x10008,
+		}},
+		Inlinability: &prisimclient.Inlinability{
+			NarrowBits: 7, Defs: 12, Narrow: 9, Wide: 2, Unknown: 1, FPDefs: 3,
+			StaticFrac: 0.75, WeightedFrac: 0.875,
+		},
+	}
 	encode := func(v any) string {
 		data, err := json.Marshal(v)
 		if err != nil {
@@ -81,6 +95,7 @@ func TestWireBytesPinned(t *testing.T) {
 		{"Table JSON", encode(tbl), wireTableJSON},
 		{"Table.String", tbl.String(), wireTableString},
 		{"JobResult JSON", encode(jr), wireJobResultJSON},
+		{"ProgramInfo JSON", encode(info), wireProgramInfoJSON},
 		{"Entry JSON", encode(entry), wireEntryJSON},
 	} {
 		if c.got != c.want {
