@@ -33,7 +33,7 @@ import (
 type jsonReport struct {
 	Name         string                `json:"name"`
 	Instructions int                   `json:"instructions"`
-	Findings     []analysis.Diag       `json:"findings"`
+	Findings     []asm.Diagnostic      `json:"findings"`
 	Inlinability analysis.Inlinability `json:"inlinability"`
 	Loops        []analysis.Loop       `json:"loops"`
 }

@@ -197,59 +197,22 @@ func Analyze(prog *asm.Program, opts Options) *Report {
 	return rep
 }
 
-// Diag is a finding positioned against the original source. Line is 0 for
-// images with no recorded positions (builder-generated programs); such
-// findings render by address instead.
-type Diag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Msg      string `json:"msg"`
-	Excerpt  string `json:"excerpt,omitempty"`
-	Analyzer string `json:"analyzer,omitempty"`
-	Severity string `json:"severity,omitempty"`
-	Addr     uint64 `json:"addr,omitempty"`
-}
-
-// String renders "file:line:col: severity: msg [analyzer]" with a caret
-// excerpt, matching the assembler's diagnostic style.
-func (d Diag) String() string {
-	var sb strings.Builder
-	if d.Line > 0 {
-		fmt.Fprintf(&sb, "%s:%d:%d: ", d.File, d.Line, d.Col)
-	} else if d.File != "" {
-		fmt.Fprintf(&sb, "%s: %#06x: ", d.File, d.Addr)
-	} else {
-		fmt.Fprintf(&sb, "%#06x: ", d.Addr)
-	}
-	fmt.Fprintf(&sb, "%s: %s", d.Severity, d.Msg)
-	if d.Analyzer != "" {
-		fmt.Fprintf(&sb, " [%s]", d.Analyzer)
-	}
-	if d.Excerpt != "" {
-		display := strings.ReplaceAll(d.Excerpt, "\t", " ")
-		fmt.Fprintf(&sb, "\n    %s", display)
-		if d.Col >= 1 && d.Col <= len([]rune(display))+1 {
-			fmt.Fprintf(&sb, "\n    %s^", strings.Repeat(" ", d.Col-1))
-		}
-	}
-	return sb.String()
-}
-
 // Diagnostics positions the report's findings against the assembly source
 // and filters the ones suppressed by ";lint:ignore analyzer reason"
 // comments (same-line or line-above, reason mandatory — the prilint
 // convention with assembly comment characters). src may be empty: then no
-// excerpts are attached and no suppressions apply.
-func (r *Report) Diagnostics(prog *asm.Program, file, src string) []Diag {
+// excerpts are attached and no suppressions apply. A finding in an image
+// with no recorded positions (a builder-generated program) keeps Line 0
+// and renders by address instead.
+func (r *Report) Diagnostics(prog *asm.Program, file, src string) []asm.Diagnostic {
 	var srcLines []string
 	if src != "" {
 		srcLines = strings.Split(src, "\n")
 	}
 	sup := parseSuppressions(srcLines)
-	var out []Diag
+	var out []asm.Diagnostic
 	for _, f := range r.Findings {
-		d := Diag{
+		d := asm.Diagnostic{
 			File:     file,
 			Msg:      f.Msg,
 			Analyzer: f.Analyzer,
@@ -314,7 +277,7 @@ func (s suppressions) matches(line int, analyzer string) bool {
 
 // ExitCode maps lint output to the shared CLI convention: 0 clean, 1 when
 // warnings were reported and -Werror is set, 2 when any error was found.
-func ExitCode(diags []Diag, werror bool) int {
+func ExitCode(diags []asm.Diagnostic, werror bool) int {
 	code := 0
 	for _, d := range diags {
 		if d.Severity == SevError.String() {

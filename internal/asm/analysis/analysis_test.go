@@ -9,7 +9,7 @@ import (
 )
 
 // analyzeSrc assembles src and returns the positioned diagnostics.
-func analyzeSrc(t *testing.T, src string) []analysis.Diag {
+func analyzeSrc(t *testing.T, src string) []asm.Diagnostic {
 	t.Helper()
 	prog, err := asm.Assemble(src)
 	if err != nil {
@@ -54,19 +54,19 @@ func TestSuppression(t *testing.T) {
 // TestExitCode pins the shared CLI convention: 0 clean, 1 warnings under
 // -Werror, 2 on any error regardless of -Werror.
 func TestExitCode(t *testing.T) {
-	warn := analysis.Diag{Severity: "warning"}
-	errd := analysis.Diag{Severity: "error"}
+	warn := asm.Diagnostic{Severity: "warning"}
+	errd := asm.Diagnostic{Severity: "error"}
 	cases := []struct {
-		diags  []analysis.Diag
+		diags  []asm.Diagnostic
 		werror bool
 		want   int
 	}{
 		{nil, false, 0},
 		{nil, true, 0},
-		{[]analysis.Diag{warn}, false, 0},
-		{[]analysis.Diag{warn}, true, 1},
-		{[]analysis.Diag{errd}, false, 2},
-		{[]analysis.Diag{warn, errd}, true, 2},
+		{[]asm.Diagnostic{warn}, false, 0},
+		{[]asm.Diagnostic{warn}, true, 1},
+		{[]asm.Diagnostic{errd}, false, 2},
+		{[]asm.Diagnostic{warn, errd}, true, 2},
 	}
 	for i, tc := range cases {
 		if got := analysis.ExitCode(tc.diags, tc.werror); got != tc.want {
@@ -79,7 +79,7 @@ func TestExitCode(t *testing.T) {
 // findings render file:line:col with a caret, builder images (no source
 // positions) render by instruction address.
 func TestDiagRendering(t *testing.T) {
-	positioned := analysis.Diag{
+	positioned := asm.Diagnostic{
 		File: "p.s", Line: 3, Col: 3, Msg: "value written to r5 is never read",
 		Excerpt: "  li r5, 7", Analyzer: "defuse", Severity: "warning",
 	}
@@ -89,7 +89,7 @@ func TestDiagRendering(t *testing.T) {
 			t.Errorf("rendering %q lacks %q", got, wantPart)
 		}
 	}
-	byAddr := analysis.Diag{
+	byAddr := asm.Diagnostic{
 		File: "workload:swim", Msg: "value written to f10 is never read",
 		Analyzer: "defuse", Severity: "warning", Addr: 0x010020,
 	}

@@ -18,8 +18,6 @@ import (
 // labels, displacement overflow). Panics are appropriate here because the
 // builder's callers are compiled-in kernel generators, not user input.
 type Builder struct {
-	codeBase uint64
-	dataBase uint64
 	dataNext uint64
 
 	insts   []isa.Inst
@@ -27,7 +25,6 @@ type Builder struct {
 	labels  map[string]int
 	symbols map[string]uint64
 	data    []Segment
-	err     error
 }
 
 type fixup struct {
@@ -38,8 +35,6 @@ type fixup struct {
 // NewBuilder returns a Builder using the default memory layout.
 func NewBuilder() *Builder {
 	return &Builder{
-		codeBase: DefaultCodeBase,
-		dataBase: DefaultDataBase,
 		dataNext: DefaultDataBase,
 		labels:   make(map[string]int),
 		symbols:  make(map[string]uint64),
@@ -47,7 +42,7 @@ func NewBuilder() *Builder {
 }
 
 // PC returns the address of the next instruction to be emitted.
-func (b *Builder) PC() uint64 { return b.codeBase + 4*uint64(len(b.insts)) }
+func (b *Builder) PC() uint64 { return DefaultCodeBase + 4*uint64(len(b.insts)) }
 
 // Label defines a code label at the current position.
 func (b *Builder) Label(name string) {
@@ -116,50 +111,12 @@ func (b *Builder) Ret() { b.Emit(isa.Inst{Op: isa.OpJR, Ra: isa.RLR}) }
 // Mov emits rd = ra.
 func (b *Builder) Mov(rd, ra isa.Reg) { b.RR(isa.OpADD, rd, ra, isa.RZero) }
 
-// Nop emits a no-op.
-func (b *Builder) Nop() { b.Emit(isa.Inst{Op: isa.OpNOP}) }
-
 // Halt emits the program-stop instruction.
 func (b *Builder) Halt() { b.Emit(isa.Inst{Op: isa.OpHALT}) }
 
 // Li loads the 64-bit constant v into rd using the shortest of the standard
-// expansions (1 instruction for 16-bit signed, 2 for 32-bit signed, up to 7
-// in the general case).
-func (b *Builder) Li(rd isa.Reg, v int64) {
-	switch {
-	case v >= -(1<<15) && v < 1<<15:
-		b.RI(isa.OpADDI, rd, isa.RZero, v)
-	case v >= -(1<<31) && v < 1<<31:
-		b.RI(isa.OpLUI, rd, isa.RZero, int64(int16(v>>16)))
-		if lo := v & 0xFFFF; lo != 0 {
-			b.RI(isa.OpORI, rd, rd, lo)
-		}
-	default:
-		// General form: assemble from 16-bit chunks, most significant
-		// first, via ori/slli. Skipping leading zero chunks keeps common
-		// 48-bit addresses at 5 instructions.
-		u := uint64(v)
-		started := false
-		for shift := 48; shift >= 0; shift -= 16 {
-			chunk := int64((u >> uint(shift)) & 0xFFFF)
-			if !started {
-				if chunk == 0 {
-					continue
-				}
-				b.RI(isa.OpORI, rd, isa.RZero, chunk)
-				started = true
-				continue
-			}
-			b.RI(isa.OpSLLI, rd, rd, 16)
-			if chunk != 0 {
-				b.RI(isa.OpORI, rd, rd, chunk)
-			}
-		}
-		if !started {
-			b.RI(isa.OpADDI, rd, isa.RZero, 0)
-		}
-	}
-}
+// expansions (isa.AppendLi).
+func (b *Builder) Li(rd isa.Reg, v int64) { b.insts = isa.AppendLi(b.insts, rd, v) }
 
 // La loads the address of a previously declared data symbol.
 func (b *Builder) La(rd isa.Reg, symbol string) {
@@ -233,23 +190,9 @@ func (b *Builder) Finish() (*Program, error) {
 		if !ok {
 			return nil, fmt.Errorf("asm: undefined label %q", f.label)
 		}
-		in := &b.insts[f.inst]
-		pc := b.codeBase + 4*uint64(f.inst)
-		target := b.codeBase + 4*uint64(idx)
-		switch in.Op.Format() {
-		case isa.FmtB:
-			disp := (int64(target) - int64(pc) - 4) / 4
-			if disp < -(1<<15) || disp >= 1<<15 {
-				return nil, fmt.Errorf("asm: branch to %q out of range (%d instructions)", f.label, disp)
-			}
-			in.Imm = disp
-		case isa.FmtJ:
-			if target>>28 != (pc+4)>>28 {
-				return nil, fmt.Errorf("asm: jump to %q crosses a 256MB region", f.label)
-			}
-			in.Imm = int64((target >> 2) & (1<<26 - 1))
-		default:
-			return nil, fmt.Errorf("asm: label fixup on non-control %s", in.Op)
+		pc := DefaultCodeBase + 4*uint64(f.inst)
+		if err := b.insts[f.inst].SetTarget(pc, DefaultCodeBase+4*uint64(idx)); err != nil {
+			return nil, fmt.Errorf("asm: label %q: %w", f.label, err)
 		}
 	}
 	code := make([]uint32, len(b.insts))
@@ -260,9 +203,9 @@ func (b *Builder) Finish() (*Program, error) {
 		}
 		code[i] = w
 	}
-	entry := b.codeBase
+	entry := uint64(DefaultCodeBase)
 	if idx, ok := b.labels["main"]; ok {
-		entry = b.codeBase + 4*uint64(idx)
+		entry = DefaultCodeBase + 4*uint64(idx)
 	}
 	syms := make(map[string]uint64, len(b.symbols))
 	for k, v := range b.symbols {
@@ -270,7 +213,7 @@ func (b *Builder) Finish() (*Program, error) {
 	}
 	return &Program{
 		Entry:    entry,
-		CodeBase: b.codeBase,
+		CodeBase: DefaultCodeBase,
 		Code:     code,
 		Data:     append([]Segment(nil), b.data...),
 		Symbols:  syms,

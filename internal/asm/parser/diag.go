@@ -6,22 +6,45 @@ import (
 	"strings"
 )
 
-// Diagnostic is one positioned assembly error. Line and Col are 1-based and
-// rune-accurate; Excerpt is the offending source line (empty when the
-// position falls outside the input, e.g. for file-level errors).
+// Diagnostic is one positioned assembly error or static-analysis finding,
+// the one diagnostic type from the assembler and priscan to the service's
+// wire. Line and Col are 1-based and rune-accurate; Excerpt is the
+// offending source line (empty when the position falls outside the input).
+// Analyzer, Severity ("warning" or "error") and Addr (the instruction
+// address, which positions a finding whose source line is unknown) are set
+// by priscan findings only.
 type Diagnostic struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Msg     string `json:"msg"`
-	Excerpt string `json:"excerpt,omitempty"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Msg      string `json:"msg"`
+	Excerpt  string `json:"excerpt,omitempty"`
+	Analyzer string `json:"analyzer,omitempty"`
+	Severity string `json:"severity,omitempty"`
+	Addr     uint64 `json:"addr,omitempty"`
 }
 
-// String renders "file:line:col: msg" followed by the source excerpt with a
-// caret under the offending column.
+// String renders "file:line:col: " (or, with no line, the instruction
+// address after any file name), then "severity: " when set, the message,
+// " [analyzer]" when set, and the source excerpt with a caret under the
+// offending column.
 func (d Diagnostic) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s:%d:%d: %s", d.File, d.Line, d.Col, d.Msg)
+	switch {
+	case d.Line > 0:
+		fmt.Fprintf(&sb, "%s:%d:%d: ", d.File, d.Line, d.Col)
+	case d.File != "":
+		fmt.Fprintf(&sb, "%s: %#06x: ", d.File, d.Addr)
+	default:
+		fmt.Fprintf(&sb, "%#06x: ", d.Addr)
+	}
+	if d.Severity != "" {
+		sb.WriteString(d.Severity + ": ")
+	}
+	sb.WriteString(d.Msg)
+	if d.Analyzer != "" {
+		fmt.Fprintf(&sb, " [%s]", d.Analyzer)
+	}
 	if d.Excerpt != "" {
 		// Tabs would break caret alignment; display them as single spaces.
 		display := strings.ReplaceAll(d.Excerpt, "\t", " ")

@@ -26,7 +26,7 @@ type unit struct {
 // only code labels defined earlier in the file.
 func (p *parser) sizeCode() []unit {
 	units := make([]unit, 0, len(p.code))
-	pc := p.cfg.CodeBase
+	pc := uint64(CodeBase)
 	for _, s := range p.code {
 		for _, l := range s.labels {
 			p.defineSymbol(l, pc)
@@ -37,7 +37,7 @@ func (p *parser) sizeCode() []unit {
 		u := unit{s: s, mnem: strings.ToLower(s.head.Text), pc: pc, n: 1}
 		switch u.mnem {
 		case "li", "la":
-			u.li, u.bad = p.lowerLi(s, u.mnem)
+			u.li, u.bad = p.lowerLi(s)
 			if !u.bad {
 				u.n = len(u.li)
 			}
@@ -54,10 +54,8 @@ func (p *parser) sizeCode() []unit {
 }
 
 // lowerLi lowers "li rd, expr" (and la, its alias for address-valued
-// expressions) into the shortest standard expansion: 1 instruction for a
-// 16-bit signed value, lui+ori for 32-bit, ori/slli 16-bit chunks in
-// general.
-func (p *parser) lowerLi(s stmt, mnem string) ([]isa.Inst, bool) {
+// expressions) into the shortest standard expansion (isa.AppendLi).
+func (p *parser) lowerLi(s stmt) ([]isa.Inst, bool) {
 	if !p.requireOps(s, 2) {
 		return nil, true
 	}
@@ -65,46 +63,11 @@ func (p *parser) lowerLi(s stmt, mnem string) ([]isa.Inst, bool) {
 	if !ok {
 		return nil, true
 	}
-	uv, ok := p.evalToks(s.ops[1])
+	v, ok := p.evalToks(s.ops[1])
 	if !ok {
 		return nil, true
 	}
-	v := int64(uv)
-	var insts []isa.Inst
-	ri := func(op isa.Op, rd, ra isa.Reg, imm int64) {
-		insts = append(insts, isa.Inst{Op: op, Rd: rd, Ra: ra, Imm: imm})
-	}
-	switch {
-	case v >= -(1<<15) && v < 1<<15:
-		ri(isa.OpADDI, rd, isa.RZero, v)
-	case v >= -(1<<31) && v < 1<<31:
-		ri(isa.OpLUI, rd, isa.RZero, int64(int16(v>>16)))
-		if lo := v & 0xFFFF; lo != 0 {
-			ri(isa.OpORI, rd, rd, lo)
-		}
-	default:
-		// 16-bit chunks, most significant first, skipping leading zeros.
-		started := false
-		for shift := 48; shift >= 0; shift -= 16 {
-			chunk := int64((uv >> uint(shift)) & 0xFFFF)
-			if !started {
-				if chunk == 0 {
-					continue
-				}
-				ri(isa.OpORI, rd, isa.RZero, chunk)
-				started = true
-				continue
-			}
-			ri(isa.OpSLLI, rd, rd, 16)
-			if chunk != 0 {
-				ri(isa.OpORI, rd, rd, chunk)
-			}
-		}
-		if !started {
-			ri(isa.OpADDI, rd, isa.RZero, 0)
-		}
-	}
-	return insts, false
+	return isa.AppendLi(nil, rd, int64(v)), false
 }
 
 // encodeCode is pass two over the code: every operand expression is
@@ -212,11 +175,6 @@ func (p *parser) memOperand(op []lexer.Token) (int64, isa.Reg, bool) {
 	return off, base, true
 }
 
-// target evaluates a branch/jump target operand to an absolute address.
-func (p *parser) target(op []lexer.Token) (uint64, bool) {
-	return p.evalToks(op)
-}
-
 // encodeInst lowers one sized statement (everything except li/la) to a
 // single instruction.
 func (p *parser) encodeInst(u unit) (isa.Inst, bool) {
@@ -268,7 +226,7 @@ func (p *parser) encodeInst(u unit) (isa.Inst, bool) {
 		if u.mnem == "bnez" {
 			op = isa.OpBNE
 		}
-		return p.branch(u, op, ra, isa.RZero, ops[1])
+		return p.branch(u, isa.Inst{Op: op, Ra: ra, Rb: isa.RZero}, ops[1])
 	case "ret":
 		if !need(0) {
 			return bad, false
@@ -380,46 +338,27 @@ func (p *parser) encodeInst(u unit) (isa.Inst, bool) {
 		if !ok1 || !ok2 {
 			return bad, false
 		}
-		return p.branch(u, op, ra, rb, ops[2])
+		return p.branch(u, isa.Inst{Op: op, Ra: ra, Rb: rb}, ops[2])
 	case isa.FmtJ:
 		if !need(1) {
 			return bad, false
 		}
-		addr, ok := p.target(ops[0])
-		if !ok {
-			return bad, false
-		}
-		at := ops[0][0]
-		if addr%4 != 0 {
-			p.errorf(at, "jump target %#x is not instruction-aligned", addr)
-			return bad, false
-		}
-		if addr>>28 != (u.pc+4)>>28 {
-			p.errorf(at, "jump target %#x crosses a 256MB region", addr)
-			return bad, false
-		}
-		return isa.Inst{Op: op, Imm: int64((addr >> 2) & (1<<26 - 1))}, true
+		return p.branch(u, isa.Inst{Op: op}, ops[0])
 	}
 	p.errorf(s.head, "unknown mnemonic %q", s.head.Text)
 	return bad, false
 }
 
-// branch resolves a conditional-branch target to a word displacement.
-func (p *parser) branch(u unit, op isa.Op, ra, rb isa.Reg, targetOp []lexer.Token) (isa.Inst, bool) {
-	addr, ok := p.target(targetOp)
+// branch evaluates a target operand and points in, the branch or jump at
+// u.pc, at it (isa.Inst.SetTarget).
+func (p *parser) branch(u unit, in isa.Inst, targetOp []lexer.Token) (isa.Inst, bool) {
+	addr, ok := p.evalToks(targetOp)
 	if !ok {
 		return isa.Inst{}, false
 	}
-	at := targetOp[0]
-	delta := int64(addr) - int64(u.pc) - 4
-	if delta%4 != 0 {
-		p.errorf(at, "branch target %#x is not instruction-aligned", addr)
+	if err := in.SetTarget(u.pc, addr); err != nil {
+		p.errorf(targetOp[0], "%v", err)
 		return isa.Inst{}, false
 	}
-	disp := delta / 4
-	if disp < -(1<<15) || disp >= 1<<15 {
-		p.errorf(at, "branch target out of range (%d instructions away)", disp)
-		return isa.Inst{}, false
-	}
-	return isa.Inst{Op: op, Ra: ra, Rb: rb, Imm: disp}, true
+	return in, true
 }

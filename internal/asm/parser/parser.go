@@ -32,15 +32,13 @@ import (
 	"prisim/internal/isa"
 )
 
-// Config parameterizes one assembly.
-type Config struct {
-	// File is the name used in diagnostics; "<input>" when empty.
-	File string
-	// CodeBase and DataBase set the memory layout. internal/asm passes its
-	// package defaults.
-	CodeBase uint64
-	DataBase uint64
-}
+// The memory layout of every assembled program.
+const (
+	// CodeBase is where the code segment is loaded.
+	CodeBase = 0x0001_0000
+	// DataBase is where the data section is laid out.
+	DataBase = 0x0100_0000
+)
 
 // Segment is a contiguous run of initialized memory.
 type Segment struct {
@@ -54,12 +52,11 @@ type Pos struct {
 	Col  int
 }
 
-// Image is a fully linked program: the parser's output.
+// Image is a fully linked program loaded at CodeBase: the parser's output.
 type Image struct {
-	Entry    uint64
-	CodeBase uint64
-	Code     []uint32
-	Data     []Segment
+	Entry uint64
+	Code  []uint32
+	Data  []Segment
 	// Symbols holds labels and data symbols. .equ/.set constants are not
 	// included: they are values, not addresses, and would pollute
 	// address-keyed disassembly annotations.
@@ -73,19 +70,20 @@ type Image struct {
 	DataEnd uint64
 }
 
-// Parse assembles src. On failure the returned error is an *Error carrying
-// every collected Diagnostic in source order.
-func Parse(src string, cfg Config) (*Image, error) {
-	if cfg.File == "" {
-		cfg.File = "<input>"
+// Parse assembles src, naming file in diagnostics ("<input>" when empty).
+// On failure the returned error is an *Error carrying every collected
+// Diagnostic in source order.
+func Parse(file, src string) (*Image, error) {
+	if file == "" {
+		file = "<input>"
 	}
 	p := &parser{
-		cfg:      cfg,
+		file:     file,
 		srcLines: strings.Split(src, "\n"),
 		symbols:  make(map[string]uint64),
 		consts:   make(map[string]uint64),
 		macros:   make(map[string]*macro),
-		dataNext: cfg.DataBase,
+		dataNext: DataBase,
 	}
 	lines := p.scanLines(src)
 	lines = p.expandMacros(lines, 0)
@@ -102,18 +100,17 @@ func Parse(src string, cfg Config) (*Image, error) {
 		sortDiags(p.diags)
 		return nil, &Error{Diags: p.diags}
 	}
-	entry := cfg.CodeBase
+	entry := uint64(CodeBase)
 	if addr, ok := p.symbols["main"]; ok {
 		entry = addr
 	}
 	return &Image{
-		Entry:    entry,
-		CodeBase: cfg.CodeBase,
-		Code:     code,
-		Data:     data,
-		Symbols:  p.symbols,
-		Lines:    codeLines,
-		DataEnd:  p.dataNext,
+		Entry:   entry,
+		Code:    code,
+		Data:    data,
+		Symbols: p.symbols,
+		Lines:   codeLines,
+		DataEnd: p.dataNext,
 	}, nil
 }
 
@@ -123,7 +120,7 @@ const (
 )
 
 type parser struct {
-	cfg      Config
+	file     string
 	srcLines []string
 
 	diags      []Diagnostic
@@ -147,7 +144,7 @@ func (p *parser) errorf(tok lexer.Token, format string, args ...any) {
 	}
 	if len(p.diags) >= maxDiagnostics {
 		p.diags = append(p.diags, Diagnostic{
-			File: p.cfg.File, Line: tok.Line, Col: tok.Col,
+			File: p.file, Line: tok.Line, Col: tok.Col,
 			Msg: fmt.Sprintf("too many errors (stopping after %d)", maxDiagnostics),
 		})
 		p.diagsFull = true
@@ -158,7 +155,7 @@ func (p *parser) errorf(tok lexer.Token, format string, args ...any) {
 		excerpt = strings.TrimRight(p.srcLines[tok.Line-1], " \t\r")
 	}
 	p.diags = append(p.diags, Diagnostic{
-		File: p.cfg.File, Line: tok.Line, Col: tok.Col,
+		File: p.file, Line: tok.Line, Col: tok.Col,
 		Msg: fmt.Sprintf(format, args...), Excerpt: excerpt,
 	})
 }

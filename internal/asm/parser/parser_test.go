@@ -10,14 +10,9 @@ import (
 	"prisim/internal/isa"
 )
 
-const (
-	testCodeBase = 0x0001_0000
-	testDataBase = 0x0100_0000
-)
-
 func parse(t *testing.T, src string) *Image {
 	t.Helper()
-	img, err := Parse(src, Config{CodeBase: testCodeBase, DataBase: testDataBase})
+	img, err := Parse("", src)
 	if err != nil {
 		t.Fatalf("Parse failed:\n%v", err)
 	}
@@ -26,7 +21,7 @@ func parse(t *testing.T, src string) *Image {
 
 func parseErr(t *testing.T, src string) *Error {
 	t.Helper()
-	_, err := Parse(src, Config{CodeBase: testCodeBase, DataBase: testDataBase})
+	_, err := Parse("", src)
 	if err == nil {
 		t.Fatalf("Parse(%q) succeeded, want error", src)
 	}
@@ -367,7 +362,7 @@ func TestDiagnosticCap(t *testing.T) {
 }
 
 func TestFileNameInDiagnostics(t *testing.T) {
-	_, err := Parse("zork", Config{File: "prog.s", CodeBase: testCodeBase, DataBase: testDataBase})
+	_, err := Parse("prog.s", "zork")
 	var pe *Error
 	if !errors.As(err, &pe) || pe.Diags[0].File != "prog.s" {
 		t.Fatalf("err = %v", err)
@@ -384,7 +379,7 @@ func TestErrorsNeverPanicOnBadInput(t *testing.T) {
 		"addi r1, zero, 0x10000000000000000",
 	}
 	for _, src := range bad {
-		img, err := Parse(src, Config{CodeBase: testCodeBase, DataBase: testDataBase})
+		img, err := Parse("", src)
 		// Empty-ish inputs may legitimately produce an empty image; what
 		// matters is no panic and positioned diagnostics when they fail.
 		if err != nil {
@@ -430,7 +425,7 @@ func TestEntryIsMainElseCodeBase(t *testing.T) {
 		t.Errorf("entry = %#x, want main", img.Entry)
 	}
 	img = parse(t, ".text\nhalt")
-	if img.Entry != testCodeBase {
+	if img.Entry != CodeBase {
 		t.Errorf("entry = %#x, want code base", img.Entry)
 	}
 }

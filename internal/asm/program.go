@@ -12,31 +12,27 @@ import (
 	"fmt"
 	"sort"
 
+	"prisim/internal/asm/parser"
 	"prisim/internal/isa"
 )
 
-// Default memory layout for assembled programs.
+// Default memory layout for assembled programs: the parser's, for both
+// front ends.
 const (
 	// DefaultCodeBase is where the code segment is loaded.
-	DefaultCodeBase = 0x0001_0000
-	// DefaultDataBase is where builder-declared data is laid out.
-	DefaultDataBase = 0x0100_0000
+	DefaultCodeBase = parser.CodeBase
+	// DefaultDataBase is where data is laid out.
+	DefaultDataBase = parser.DataBase
 	// DefaultStackTop is the initial stack pointer handed to programs.
 	DefaultStackTop = 0x7FFF_FF00
 )
 
 // Segment is a contiguous run of initialized memory in a program image.
-type Segment struct {
-	Base  uint64
-	Bytes []byte
-}
+type Segment = parser.Segment
 
 // SrcPos is a 1-based source position for one code word; the zero value
 // means "position unknown" (builder-generated programs carry no positions).
-type SrcPos struct {
-	Line int
-	Col  int
-}
+type SrcPos = parser.Pos
 
 // Program is a fully linked PRISC-64 program image.
 //
@@ -101,14 +97,6 @@ func (p *Program) SHA256() string {
 		h.Write(seg.Bytes)
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// InstAt decodes the instruction at addr, if addr lies in the code segment.
-func (p *Program) InstAt(addr uint64) (isa.Inst, bool) {
-	if addr < p.CodeBase || addr >= p.CodeEnd() || addr%4 != 0 {
-		return isa.Inst{}, false
-	}
-	return isa.Decode(p.Code[(addr-p.CodeBase)/4]), true
 }
 
 // Disassemble renders the whole code segment, one instruction per line,

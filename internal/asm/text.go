@@ -6,10 +6,10 @@ import (
 	"prisim/internal/asm/parser"
 )
 
-// Diagnostic is one positioned assembly error: file, 1-based rune-accurate
-// line/column, message, and a source excerpt. It is an alias for the
-// parser's type so callers can consume diagnostics without importing the
-// frontend packages.
+// Diagnostic is one positioned assembly error or priscan finding: file,
+// 1-based rune-accurate line/column, message, and a source excerpt. It is
+// an alias for the parser's type so callers can consume diagnostics without
+// importing the frontend packages.
 type Diagnostic = parser.Diagnostic
 
 // Diagnostics extracts the collected diagnostics from an error returned by
@@ -57,29 +57,17 @@ func Assemble(src string) (*Program, error) {
 
 // AssembleFile is Assemble with a file name for diagnostics.
 func AssembleFile(name, src string) (*Program, error) {
-	img, err := parser.Parse(src, parser.Config{
-		File:     name,
-		CodeBase: DefaultCodeBase,
-		DataBase: DefaultDataBase,
-	})
+	img, err := parser.Parse(name, src)
 	if err != nil {
 		return nil, err
 	}
-	data := make([]Segment, len(img.Data))
-	for i, s := range img.Data {
-		data[i] = Segment{Base: s.Base, Bytes: s.Bytes}
-	}
-	lines := make([]SrcPos, len(img.Lines))
-	for i, pos := range img.Lines {
-		lines[i] = SrcPos{Line: pos.Line, Col: pos.Col}
-	}
 	return &Program{
 		Entry:    img.Entry,
-		CodeBase: img.CodeBase,
+		CodeBase: DefaultCodeBase,
 		Code:     img.Code,
-		Data:     data,
+		Data:     img.Data,
 		Symbols:  img.Symbols,
-		Lines:    lines,
+		Lines:    img.Lines,
 		DataEnd:  img.DataEnd,
 	}, nil
 }

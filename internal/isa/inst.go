@@ -57,6 +57,69 @@ func (in Inst) BranchTarget(pc uint64) uint64 {
 	panic(fmt.Sprintf("isa: BranchTarget on %s", in.Op))
 }
 
+// SetTarget points the direct branch or jump located at pc at target: the
+// inverse of BranchTarget. It rejects a target that is not
+// instruction-aligned, a branch displacement outside 16 bits, a jump
+// target outside the 256MB region of pc+4, and any other instruction.
+func (in *Inst) SetTarget(pc, target uint64) error {
+	kind := "branch"
+	switch in.Op.Format() {
+	case FmtB:
+	case FmtJ:
+		kind = "jump"
+	default:
+		return fmt.Errorf("%s takes no branch target", in.Op)
+	}
+	if target%4 != 0 {
+		return fmt.Errorf("%s target %#x is not instruction-aligned", kind, target)
+	}
+	if kind == "jump" {
+		if target>>28 != (pc+4)>>28 {
+			return fmt.Errorf("jump target %#x crosses a 256MB region", target)
+		}
+		in.Imm = int64(target>>2) & (1<<26 - 1)
+		return nil
+	}
+	disp := (int64(target) - int64(pc) - 4) / 4
+	if disp < immMin || disp > immMax {
+		return fmt.Errorf("branch target out of range (%d instructions away)", disp)
+	}
+	in.Imm = disp
+	return nil
+}
+
+// AppendLi appends the shortest standard expansion that loads the 64-bit
+// constant v into rd: addi for a 16-bit signed value, lui and ori for a
+// 32-bit signed one, and otherwise ori/slli over 16-bit chunks, most
+// significant first. Leading zero chunks are skipped, which keeps common
+// 48-bit addresses at 5 instructions.
+func AppendLi(dst []Inst, rd Reg, v int64) []Inst {
+	switch {
+	case v >= immMin && v <= immMax:
+		return append(dst, Inst{Op: OpADDI, Rd: rd, Ra: RZero, Imm: v})
+	case v >= -(1<<31) && v < 1<<31:
+		dst = append(dst, Inst{Op: OpLUI, Rd: rd, Ra: RZero, Imm: int64(int16(v >> 16))})
+		if lo := v & 0xFFFF; lo != 0 {
+			dst = append(dst, Inst{Op: OpORI, Rd: rd, Ra: rd, Imm: lo})
+		}
+		return dst
+	}
+	// Outside the 32-bit range some chunk above bit 16 is nonzero.
+	u := uint64(v)
+	shift := 48
+	for u>>shift == 0 {
+		shift -= 16
+	}
+	dst = append(dst, Inst{Op: OpORI, Rd: rd, Ra: RZero, Imm: int64(u>>shift) & 0xFFFF})
+	for shift -= 16; shift >= 0; shift -= 16 {
+		dst = append(dst, Inst{Op: OpSLLI, Rd: rd, Ra: rd, Imm: 16})
+		if chunk := int64(u>>shift) & 0xFFFF; chunk != 0 {
+			dst = append(dst, Inst{Op: OpORI, Rd: rd, Ra: rd, Imm: chunk})
+		}
+	}
+	return dst
+}
+
 // IsReturn reports whether the instruction is the conventional function
 // return (jr lr), which pops the return-address stack.
 func (in Inst) IsReturn() bool { return in.Op == OpJR && in.Ra == RLR }

@@ -258,6 +258,45 @@ func TestBranchTarget(t *testing.T) {
 	}
 }
 
+// TestSetTarget checks the one branch and jump target rule both assembler
+// front ends use: alignment, the 16-bit branch displacement, and the 256MB
+// region of pc+4 for jumps. Every accepted target reads back through
+// BranchTarget.
+func TestSetTarget(t *testing.T) {
+	set := func(op Op, pc, target uint64) (Inst, error) {
+		in := Inst{Op: op, Ra: IntReg(1), Rb: IntReg(2)}
+		err := in.SetTarget(pc, target)
+		if err == nil && in.BranchTarget(pc) != target {
+			t.Errorf("%s at %#x: BranchTarget = %#x, want %#x", op, pc, in.BranchTarget(pc), target)
+		}
+		return in, err
+	}
+	const pc = 0x0010_0000
+	for _, op := range []Op{OpBEQ, OpJ} {
+		if _, err := set(op, pc, pc+6); err == nil {
+			t.Errorf("%s to a misaligned target accepted", op)
+		}
+	}
+	for _, disp := range []int64{0x7FFF, -0x8000, 0x8000, -0x8001} {
+		in, err := set(OpBNE, pc, uint64(pc+4+4*disp))
+		if fits := disp >= -0x8000 && disp <= 0x7FFF; fits != (err == nil) {
+			t.Errorf("branch displacement %d: err = %v", disp, err)
+		} else if fits && in.Imm != disp {
+			t.Errorf("branch displacement %d encoded as %d", disp, in.Imm)
+		}
+	}
+	// A jump's region is that of pc+4, not of pc.
+	if _, err := set(OpJ, 0x0FFF_FFFC, 0x1000_0008); err != nil {
+		t.Errorf("jump whose pc+4 shares the target's region rejected: %v", err)
+	}
+	if _, err := set(OpJAL, 0x0FFF_FFF8, 0x1000_0000); err == nil {
+		t.Error("jump into the next 256MB region accepted")
+	}
+	if _, err := set(OpADD, pc, pc+8); err == nil {
+		t.Error("target set on a non-control instruction")
+	}
+}
+
 func TestIsReturn(t *testing.T) {
 	if !(Inst{Op: OpJR, Ra: RLR}).IsReturn() {
 		t.Error("jr lr not a return")

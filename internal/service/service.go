@@ -329,7 +329,7 @@ func (s *Server) assembleRequest(req *prisimclient.JobRequest) (*checkedProgram,
 	prog, err := asm.AssembleFile("program.s", string(req.Source))
 	if err != nil {
 		s.metrics.incProgramAssemblyError()
-		diags := wireDiags(asm.Diagnostics(err))
+		diags := asm.Diagnostics(err)
 		return nil, programError("program failed to assemble", len(diags), diags)
 	}
 	s.metrics.incProgramAssembled()
@@ -344,45 +344,14 @@ func (s *Server) assembleRequest(req *prisimclient.JobRequest) (*checkedProgram,
 	}
 	if nerrors > 0 {
 		s.metrics.incProgramLintRejected()
-		return nil, programError("program rejected by static analysis", nerrors, wireLintDiags(diags))
+		return nil, programError("program rejected by static analysis", nerrors, diags)
 	}
 	s.metrics.addProgramLintWarnings(len(diags))
-	inl := rep.Inlinability
 	return &checkedProgram{
-		prog:     prog,
-		warnings: wireLintDiags(diags),
-		inlinability: prisimclient.Inlinability{
-			NarrowBits:   inl.NarrowBits,
-			Defs:         inl.Defs,
-			Narrow:       inl.Narrow,
-			Wide:         inl.Wide,
-			Unknown:      inl.Unknown,
-			FPDefs:       inl.FPDefs,
-			StaticFrac:   inl.StaticFrac,
-			WeightedFrac: inl.WeightedFrac,
-		},
+		prog:         prog,
+		warnings:     diags,
+		inlinability: rep.Inlinability,
 	}, nil
-}
-
-// wireDiags converts assembler diagnostics to the client wire type.
-func wireDiags(ds []asm.Diagnostic) []prisimclient.Diagnostic {
-	out := make([]prisimclient.Diagnostic, len(ds))
-	for i, d := range ds {
-		out[i] = prisimclient.Diagnostic{File: d.File, Line: d.Line, Col: d.Col, Msg: d.Msg, Excerpt: d.Excerpt}
-	}
-	return out
-}
-
-// wireLintDiags converts priscan diagnostics to the client wire type.
-func wireLintDiags(ds []analysis.Diag) []prisimclient.Diagnostic {
-	out := make([]prisimclient.Diagnostic, len(ds))
-	for i, d := range ds {
-		out[i] = prisimclient.Diagnostic{
-			File: d.File, Line: d.Line, Col: d.Col, Msg: d.Msg, Excerpt: d.Excerpt,
-			Analyzer: d.Analyzer, Severity: d.Severity, Addr: d.Addr,
-		}
-	}
-	return out
 }
 
 // jobByID looks a job up.

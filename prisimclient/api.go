@@ -14,10 +14,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"prisim"
+	"prisim/internal/asm"
+	"prisim/internal/asm/analysis"
 )
 
 // Job kinds accepted by the service.
@@ -189,50 +190,12 @@ func contentKey(schema, kernelVersion, subject string, r JobRequest) string {
 // Diagnostic is one positioned assembly error or static-analysis finding,
 // carried by 422 responses to program submissions (see
 // APIError.Diagnostics) and, for warnings, by accepted jobs and
-// program-check responses. Line and Col are 1-based and rune-accurate;
-// Excerpt is the offending source line. The Analyzer, Severity, and Addr
-// fields are additive: assembler diagnostics leave them empty, priscan
-// findings fill them (Severity "warning" or "error"; Addr the instruction
-// address, which positions findings whose source line is unknown).
-type Diagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Msg      string `json:"msg"`
-	Excerpt  string `json:"excerpt,omitempty"`
-	Analyzer string `json:"analyzer,omitempty"`
-	Severity string `json:"severity,omitempty"`
-	Addr     uint64 `json:"addr,omitempty"`
-}
-
-// String renders "file:line:col: msg" (with the severity prefixed and the
-// analyzer appended when the server set them) followed, when the server
-// included the source excerpt, by the offending line with a caret under
-// the column — the same shape the assembler and priscan print locally.
-// Findings with no source position render by instruction address.
-func (d Diagnostic) String() string {
-	var sb strings.Builder
-	if d.Line > 0 {
-		fmt.Fprintf(&sb, "%s:%d:%d: ", d.File, d.Line, d.Col)
-	} else {
-		fmt.Fprintf(&sb, "%s: %#06x: ", d.File, d.Addr)
-	}
-	if d.Severity != "" {
-		fmt.Fprintf(&sb, "%s: ", d.Severity)
-	}
-	sb.WriteString(d.Msg)
-	if d.Analyzer != "" {
-		fmt.Fprintf(&sb, " [%s]", d.Analyzer)
-	}
-	if d.Excerpt != "" {
-		display := strings.ReplaceAll(d.Excerpt, "\t", " ")
-		fmt.Fprintf(&sb, "\n    %s", display)
-		if d.Col >= 1 && d.Col <= len([]rune(display))+1 {
-			fmt.Fprintf(&sb, "\n    %s^", strings.Repeat(" ", d.Col-1))
-		}
-	}
-	return sb.String()
-}
+// program-check responses. It is the assembler's and priscan's own type:
+// Line and Col are 1-based and rune-accurate, Excerpt is the offending
+// source line, and the additive Analyzer, Severity ("warning" or "error")
+// and Addr fields are set by priscan findings only. String renders it the
+// way the assembler and priscan print it locally.
+type Diagnostic = asm.Diagnostic
 
 // ProgramCheckRequest is the body of POST /api/v1/programs: assemble-check a
 // source without running it.
@@ -262,16 +225,7 @@ type ProgramInfo struct {
 // the PRI inline width (narrow), provably do not (wide), or are unknown.
 // WeightedFrac weights each def by an estimate of its execution frequency
 // from the loop trip-count analysis.
-type Inlinability struct {
-	NarrowBits   int     `json:"narrow_bits"`
-	Defs         int     `json:"defs"`
-	Narrow       int     `json:"narrow"`
-	Wide         int     `json:"wide"`
-	Unknown      int     `json:"unknown"`
-	FPDefs       int     `json:"fp_defs"`
-	StaticFrac   float64 `json:"static_frac"`
-	WeightedFrac float64 `json:"weighted_frac"`
-}
+type Inlinability = analysis.Inlinability
 
 // Options converts the request's simulation parameters to engine options.
 func (r JobRequest) Options() prisim.Options {
