@@ -33,23 +33,19 @@ type Entry struct {
 
 // MatrixRecord is one durable matrix submission: replayed on restart so an
 // in-flight matrix survives a coordinator crash and resumes where the
-// result log left off.
+// result log left off (a finished one completes from store hits).
 type MatrixRecord struct {
 	ID      string              `json:"id"`
 	Spec    prisimclient.Matrix `json:"spec"`
 	Created time.Time           `json:"created"`
-
-	// Done is reconstructed from a later matrix_done record, not stored on
-	// the submission record itself (the log is append-only).
-	Done bool `json:"-"`
 }
 
-// record is one line of the store's append-only log.
+// record is one line of the store's append-only log. Replay skips any
+// other type, such as the "matrix_done" lines older logs carry.
 type record struct {
-	Type     string        `json:"type"` // "result", "matrix", or "matrix_done"
-	Entry    *Entry        `json:"entry,omitempty"`
-	Matrix   *MatrixRecord `json:"matrix,omitempty"`
-	MatrixID string        `json:"matrix_id,omitempty"`
+	Type   string        `json:"type"` // "result" or "matrix"
+	Entry  *Entry        `json:"entry,omitempty"`
+	Matrix *MatrixRecord `json:"matrix,omitempty"`
 }
 
 // Store is the fabric's durable content-addressed result store: an
@@ -150,10 +146,6 @@ func (s *Store) applyLocked(rec record) {
 				s.mord = append(s.mord, m.ID)
 			}
 		}
-	case "matrix_done":
-		if m, ok := s.mats[rec.MatrixID]; ok {
-			m.Done = true
-		}
 	}
 }
 
@@ -217,22 +209,6 @@ func (s *Store) PutMatrix(id string, spec prisimclient.Matrix, created time.Time
 	}
 	s.mats[id] = m
 	s.mord = append(s.mord, id)
-	return nil
-}
-
-// MarkMatrixDone durably records that every point of the matrix is in the
-// result log, so a restart replays it as completed instead of resuming it.
-func (s *Store) MarkMatrixDone(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.mats[id]
-	if !ok || m.Done {
-		return nil
-	}
-	if err := s.appendLocked(record{Type: "matrix_done", MatrixID: id}); err != nil {
-		return err
-	}
-	m.Done = true
 	return nil
 }
 

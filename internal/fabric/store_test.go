@@ -35,9 +35,6 @@ func TestStorePersistsAcrossReopen(t *testing.T) {
 	if err := s.PutMatrix("mx-1", prisimclient.Matrix{Benchmarks: []string{"gzip"}, Policies: []string{"er"}}, time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.MarkMatrixDone("mx-1"); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +52,69 @@ func TestStorePersistsAcrossReopen(t *testing.T) {
 		t.Errorf("entry changed across reopen:\n got %+v\nwant %+v", got, want)
 	}
 	mats := s2.Matrices()
-	if len(mats) != 1 || mats[0].ID != "mx-1" || !mats[0].Done {
-		t.Errorf("matrices after reopen = %+v, want one done mx-1", mats)
+	if len(mats) != 1 || mats[0].ID != "mx-1" {
+		t.Errorf("matrices after reopen = %+v, want one mx-1", mats)
+	}
+}
+
+// TestStoreReplaysLegacyMatrixDone opens a log written before the store
+// dropped its matrix_done record: replay skips the line without truncating
+// the log, and later appends land after it and survive another reopen.
+func TestStoreReplaysLegacyMatrixDone(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.log")
+	s, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(testEntry("k1", "w1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutMatrix("mx-1", prisimclient.Matrix{Benchmarks: []string{"gzip"}, Policies: []string{"er"}}, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"type":"matrix_done","matrix_id":"mx-1"}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.Stat(path); err != nil || after.Size() != before.Size() {
+		t.Fatalf("reopen truncated the log: size %d -> %v (%v)", before.Size(), after.Size(), err)
+	}
+	if _, ok := s2.Get("k1"); !ok {
+		t.Error("entry k1 lost")
+	}
+	if mats := s2.Matrices(); len(mats) != 1 || mats[0].ID != "mx-1" {
+		t.Errorf("matrices = %+v, want mx-1", mats)
+	}
+	if err := s2.Put(testEntry("k2", "w2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s3, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if s3.Len() != 2 {
+		t.Errorf("second reopen holds %d entries, want k1 and k2", s3.Len())
 	}
 }
 
